@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/baseline"
@@ -14,6 +15,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dslog"
 	"repro/internal/ir"
+	"repro/internal/logparse"
+	"repro/internal/metainfo"
 	"repro/internal/probe"
 	"repro/internal/registry"
 	"repro/internal/report"
@@ -21,6 +24,7 @@ import (
 	"repro/internal/systems/all"
 	"repro/internal/systems/cluster"
 	"repro/internal/systems/toysys"
+	"repro/internal/systems/yarn"
 	"repro/internal/trigger"
 )
 
@@ -227,6 +231,81 @@ func BenchmarkPipelineToy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = core.Run(&toysys.Runner{}, core.Options{Seed: 7})
+	}
+}
+
+// BenchmarkAnalysisPhase measures the offline analysis of one (system,
+// seed, scale) through the runners of systems/all, whose program, index
+// and matcher are constants of the system: what is left per op is the
+// profiling run, the log parse and the inference over the model's own
+// candidate fields. The first iteration pays the one build.
+func BenchmarkAnalysisPhase(b *testing.B) {
+	for _, r := range append(all.Runners(), all.Extensions()...) {
+		b.Run(r.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			var res *core.Result
+			for i := 0; i < b.N; i++ {
+				res, _ = core.AnalysisPhase(r, core.Options{Seed: 11})
+			}
+			b.ReportMetric(float64(len(res.Static.Points)), "static-cps")
+		})
+	}
+}
+
+// inferInputs returns the toy model with n synthesised background
+// classes and the parsed logs of one of its runs.
+func inferInputs(n int) (*ir.Program, []*logparse.Match, []string) {
+	r := &toysys.Runner{}
+	p := r.Program()
+	ir.SynthesizeBackground(p, n, 0xB6)
+	logs := dslog.NewRoot()
+	run := r.NewRun(cluster.Config{Seed: 11, Scale: 4, Probe: probe.New(), Logs: logs})
+	cluster.Drive(run, sim.Hour)
+	return p, logparse.MatcherFor(p).ParseAll(logs.Records()).Matches, r.Hosts()
+}
+
+// BenchmarkInfer measures the meta-info inference alone on one model
+// without and with a 400-class background corpus: the cost follows the
+// model, not the corpus.
+func BenchmarkInfer(b *testing.B) {
+	for _, n := range []int{0, 400} {
+		b.Run(fmt.Sprintf("background=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			p, matches, hosts := inferInputs(n)
+			var a *metainfo.Analysis
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a = metainfo.Infer(p, matches, hosts)
+			}
+			b.ReportMetric(float64(len(a.Fields)), "meta-fields")
+		})
+	}
+}
+
+// TestAnalysisCostFollowsTheModel holds the two claims above as counts:
+// a yarn analysis through systems/all allocates at least 4x less than
+// the same phase through a directly constructed runner, which builds its
+// 400-class program per call, and Infer allocates the same with 400
+// background classes as with none (10 % of slack for map growth).
+func TestAnalysisCostFollowsTheModel(t *testing.T) {
+	sharedRunner, _ := all.ByName("yarn")
+	analysis := func(r cluster.Runner) float64 {
+		return testing.AllocsPerRun(5, func() { core.AnalysisPhase(r, core.Options{Seed: 11}) })
+	}
+	shared, direct := analysis(sharedRunner), analysis(&yarn.Runner{})
+	t.Logf("allocs per yarn AnalysisPhase: shared program %.0f, program per call %.0f", shared, direct)
+	if shared*4 > direct {
+		t.Errorf("allocs/op reduction below 4x: shared %.0f, per call %.0f", shared, direct)
+	}
+
+	infer := func(n int) float64 {
+		p, matches, hosts := inferInputs(n)
+		return testing.AllocsPerRun(5, func() { metainfo.Infer(p, matches, hosts) })
+	}
+	bare, corpus := infer(0), infer(400)
+	t.Logf("allocs per toysys Infer: no background %.0f, 400 classes %.0f", bare, corpus)
+	if corpus > bare*1.1 {
+		t.Errorf("Infer allocations grow with the corpus: %.0f at 400 background classes, %.0f at none", corpus, bare)
 	}
 }
 

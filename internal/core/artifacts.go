@@ -28,9 +28,10 @@ import (
 // Reset to drop all entries (e.g. between experiments that mutate global
 // registries, which none currently do).
 type ArtifactCache struct {
-	mu      sync.Mutex
-	entries map[artifactKey]*artifactEntry
-	plans   map[planKey]*planEntry
+	mu        sync.Mutex
+	entries   map[artifactKey]*artifactEntry
+	plans     map[planKey]*planEntry
+	baselines map[baselineKey]*baselineEntry
 }
 
 // artifactKey captures the AnalysisPhase inputs: the system plus the
@@ -66,11 +67,26 @@ type planEntry struct {
 	plan *trigger.SnapshotPlan
 }
 
+// baselineKey captures the trigger.MeasureBaseline inputs.
+type baselineKey struct {
+	system   string
+	seed     int64
+	scale    int
+	runs     int
+	deadline sim.Time
+}
+
+type baselineEntry struct {
+	once     sync.Once
+	baseline trigger.Baseline
+}
+
 // NewArtifactCache returns an empty cache.
 func NewArtifactCache() *ArtifactCache {
 	return &ArtifactCache{
-		entries: make(map[artifactKey]*artifactEntry),
-		plans:   make(map[planKey]*planEntry),
+		entries:   make(map[artifactKey]*artifactEntry),
+		plans:     make(map[planKey]*planEntry),
+		baselines: make(map[baselineKey]*baselineEntry),
 	}
 }
 
@@ -128,6 +144,27 @@ func (c *ArtifactCache) SnapshotPlan(t *trigger.Tester) *trigger.SnapshotPlan {
 	return e.plan
 }
 
+// Baseline memoizes trigger.MeasureBaseline per (system, seed, scale,
+// runs, deadline): the fault-free runs read no fault parameter, so the
+// executors a fleet worker builds for the campaign kinds of one plan
+// set share one measurement. The returned value aliases the cached
+// exception census, which is read-only downstream.
+func (c *ArtifactCache) Baseline(r cluster.Runner, opts Options) trigger.Baseline {
+	opts.defaults()
+	key := baselineKey{system: r.Name(), seed: opts.Seed, scale: opts.Scale, runs: opts.BaselineRuns, deadline: opts.Deadline}
+	c.mu.Lock()
+	e, ok := c.baselines[key]
+	if !ok {
+		e = &baselineEntry{}
+		c.baselines[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() {
+		e.baseline = trigger.MeasureBaseline(r, opts.Seed, opts.Scale, opts.BaselineRuns, opts.Deadline)
+	})
+	return e.baseline
+}
+
 // Run executes the full pipeline, reusing cached analysis artifacts and
 // memoized snapshot plans.
 func (c *ArtifactCache) Run(r cluster.Runner, opts Options) *Result {
@@ -158,4 +195,5 @@ func (c *ArtifactCache) Reset() {
 	defer c.mu.Unlock()
 	c.entries = make(map[artifactKey]*artifactEntry)
 	c.plans = make(map[planKey]*planEntry)
+	c.baselines = make(map[baselineKey]*baselineEntry)
 }

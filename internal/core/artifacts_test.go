@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/systems/cluster"
+	"repro/internal/systems/toysys"
 	"repro/internal/systems/yarn"
+	"repro/internal/trigger"
 )
 
 // A cached pipeline run must be indistinguishable from an uncached one,
@@ -92,5 +96,34 @@ func TestArtifactCacheConcurrentSingleFlight(t *testing.T) {
 		if matchers[i] != matchers[0] {
 			t.Fatal("concurrent callers should share one matcher")
 		}
+	}
+}
+
+// A fleet worker builds one executor per leased campaign kind; the
+// fault-free baseline reads no fault parameter, so the executors of one
+// (system, seed, scale) share a single measurement, equal to a direct
+// one, and another seed gets its own.
+func TestFleetExecutorsShareOneBaseline(t *testing.T) {
+	cache := core.NewArtifactCache()
+	factory := core.FleetExecutors(cache, func(string) (cluster.Runner, error) { return &toysys.Runner{}, nil })
+	baselineOf := func(opts core.Options) trigger.Baseline {
+		x, err := factory(core.SpecOf("toysys", opts), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x.(*trigger.Tester).Baseline
+	}
+	plain := baselineOf(core.Options{Seed: 7})
+	recovery := baselineOf(core.Options{Seed: 7, Recovery: &trigger.RecoveryOptions{}})
+	other := baselineOf(core.Options{Seed: 8})
+	census := func(b trigger.Baseline) uintptr { return reflect.ValueOf(b.Exceptions).Pointer() }
+	if census(plain) != census(recovery) {
+		t.Error("two campaign kinds of one (system, seed, scale) measured the baseline twice")
+	}
+	if census(plain) == census(other) {
+		t.Error("two seeds share one baseline")
+	}
+	if want := trigger.MeasureBaseline(&toysys.Runner{}, 7, 1, 3, sim.Hour); !reflect.DeepEqual(plain, want) {
+		t.Errorf("memoized baseline %+v differs from a direct measurement %+v", plain, want)
 	}
 }

@@ -160,7 +160,7 @@ func AnalysisPhase(r cluster.Runner, opts Options) (*Result, *logparse.Matcher) 
 	cluster.Drive(run, opts.Deadline)
 
 	program := r.Program()
-	matcher := logparse.NewMatcher(logparse.ExtractPatterns(program))
+	matcher := logparse.MatcherFor(program)
 	parsed := matcher.ParseAll(logs.Records())
 	analysis := metainfo.Infer(program, parsed.Matches, r.Hosts())
 	static := crashpoint.Analyze(analysis)

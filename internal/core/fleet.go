@@ -129,12 +129,13 @@ func PlanFleet(r cluster.Runner, cache *ArtifactCache, opts Options) (fleet.Plan
 
 // FleetExecutors builds the worker-side executor factory: given a
 // leased spec and a scale, it resolves the runner, replays the memoized
-// analysis phase, measures the fault-free baseline at the spec's base
-// scale (retry-wave executors share it, like the single-process retry
-// tester, which copies the base-scale baseline), and returns a Tester
-// with a snapshot plan for its scale. Execution is deterministic, so a
-// worker-built Tester produces byte-identical results to the
-// single-process campaign's.
+// analysis phase, takes the fault-free baseline at the spec's base scale
+// (memoized in the cache, so the executors of every campaign kind and
+// retry wave over one (system, seed, scale) share one measurement, like
+// the single-process retry tester, which copies the base-scale
+// baseline), and returns a Tester with a snapshot plan for its scale.
+// Execution is deterministic, so a worker-built Tester produces
+// byte-identical results to the single-process campaign's.
 func FleetExecutors(cache *ArtifactCache, resolve func(name string) (cluster.Runner, error)) fleet.ExecutorFactory {
 	return func(spec fleet.Spec, scale int) (fleet.Executor, error) {
 		r, err := resolve(spec.System)
@@ -144,12 +145,14 @@ func FleetExecutors(cache *ArtifactCache, resolve func(name string) (cluster.Run
 		opts := OptionsOf(spec)
 		var res *Result
 		var matcher *logparse.Matcher
+		var b trigger.Baseline
 		if cache != nil {
 			res, matcher = cache.AnalysisPhase(r, opts)
+			b = cache.Baseline(r, opts)
 		} else {
 			res, matcher = AnalysisPhase(r, opts)
+			b = trigger.MeasureBaseline(r, opts.Seed, opts.Scale, opts.BaselineRuns, opts.Deadline)
 		}
-		b := trigger.MeasureBaseline(r, opts.Seed, opts.Scale, opts.BaselineRuns, opts.Deadline)
 		if scale <= 0 {
 			scale = opts.Scale
 		}

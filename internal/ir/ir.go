@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // TypeID is a fully-qualified type name, e.g.
@@ -234,7 +235,9 @@ func (m *Method) IsIOMethod(p *Program) bool {
 	return false
 }
 
-// Program is the IR of one system under test.
+// Program is the IR of one system under test. Once built it is read-only:
+// every query below only reads, so one program serves any number of
+// concurrent analyses (internal/systems/all shares one per system).
 type Program struct {
 	System  string
 	classes map[TypeID]*Class
@@ -243,7 +246,29 @@ type Program struct {
 	fields  map[FieldID]*Field
 	// callers maps a method to the invoke instructions that call it.
 	callers map[MethodID][]*Instr
-	built   bool
+
+	// What the analysis would otherwise re-derive by sweeping every class
+	// on every call; filled in by Build.
+	logStmts []*Instr
+	// subtypes maps every type named as a Super or an interface to its
+	// modeled transitive subtypes, in the order Subtypes reports them.
+	subtypes map[TypeID][]TypeID
+	// candidates are the fields that can ever be classified as meta-info,
+	// in registration order, and candidateAccesses the access instructions
+	// on them, in program order; see CandidateFields.
+	candidates        []*Field
+	candidateAccesses []*Instr
+
+	// derived holds what other packages computed from the built program.
+	derived sync.Map
+
+	built bool
+}
+
+// derivedEntry is one Derived value, built at most once.
+type derivedEntry struct {
+	once sync.Once
+	v    any
 }
 
 // NewProgram returns an empty program for the named system.
@@ -269,9 +294,10 @@ func (p *Program) AddClass(c *Class) *Class {
 	return c
 }
 
-// Build assigns owners and point IDs and indexes methods, fields and call
-// sites. It must be called after all classes are added and before any
-// query; it is idempotent.
+// Build assigns owners and point IDs and indexes methods, fields, call
+// sites, logging statements, the subtype table and the meta-info
+// candidates. It must be called after all classes are added and before
+// any query; it is idempotent.
 func (p *Program) Build() *Program {
 	if p.built {
 		return p
@@ -279,8 +305,16 @@ func (p *Program) Build() *Program {
 	p.methods = make(map[MethodID]*Method)
 	p.fields = make(map[FieldID]*Field)
 	p.callers = make(map[MethodID][]*Instr)
+	p.logStmts = nil
+	p.derived = sync.Map{}
+	// What can make a field meta-info: a declared, element or key type
+	// that is a program class or a logged non-base type (the only types
+	// Definition 2 ever marks), or a LogArg.Field link.
+	namedType := make(map[TypeID]bool, len(p.order))
+	linked := make(map[FieldID]bool)
 	for _, name := range p.order {
 		c := p.classes[name]
+		namedType[name] = true
 		for _, f := range c.Fields {
 			f.Owner = c.Name
 			if _, dup := p.fields[f.ID()]; dup {
@@ -299,20 +333,100 @@ func (p *Program) Build() *Program {
 				if m.Ctor {
 					ins.InCtor = true
 				}
+				switch {
+				case ins.Op == OpInvoke:
+					p.callers[ins.Callee] = append(p.callers[ins.Callee], ins)
+				case ins.Op == OpLog:
+					p.logStmts = append(p.logStmts, ins)
+					if ins.Log == nil {
+						continue // reported by Validate
+					}
+					for _, arg := range ins.Log.Args {
+						if arg.Type != "" && !IsBaseType(arg.Type) {
+							namedType[arg.Type] = true
+						}
+						if arg.Field != "" {
+							linked[arg.Field] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	p.indexSubtypes()
+	p.indexCandidates(namedType, linked)
+	p.built = true
+	return p
+}
+
+// indexSubtypes fills the subtype table. Only classes that name a parent
+// can be anyone's subtype, so the closure sweeps those alone.
+func (p *Program) indexSubtypes() {
+	var derived []*Class
+	for _, name := range p.order {
+		if c := p.classes[name]; c.Super != "" || len(c.Interfaces) > 0 {
+			derived = append(derived, c)
+		}
+	}
+	p.subtypes = make(map[TypeID][]TypeID)
+	for _, c := range derived {
+		for _, parent := range append([]TypeID{c.Super}, c.Interfaces...) {
+			if _, done := p.subtypes[parent]; parent == "" || done {
+				continue
+			}
+			// Sweep to a fixed point in registration order, so a class
+			// registered before its parent is still found (a pass later).
+			var subs []TypeID
+			seen := map[TypeID]bool{parent: true}
+			for changed := true; changed; {
+				changed = false
+				for _, d := range derived {
+					if seen[d.Name] || !(seen[d.Super] || anySeen(seen, d.Interfaces)) {
+						continue
+					}
+					seen[d.Name] = true
+					subs = append(subs, d.Name)
+					changed = true
+				}
+			}
+			p.subtypes[parent] = subs
+		}
+	}
+}
+
+func anySeen(seen map[TypeID]bool, ts []TypeID) bool {
+	for _, t := range ts {
+		if seen[t] {
+			return true
+		}
+	}
+	return false
+}
+
+// indexCandidates fills candidates and candidateAccesses.
+func (p *Program) indexCandidates(namedType map[TypeID]bool, linked map[FieldID]bool) {
+	p.candidates, p.candidateAccesses = nil, nil
+	candidate := make(map[FieldID]bool)
+	for _, name := range p.order {
+		for _, f := range p.classes[name].Fields {
+			if namedType[f.Type] || namedType[f.ElemType] || namedType[f.KeyType] || linked[f.ID()] {
+				candidate[f.ID()] = true
+				p.candidates = append(p.candidates, f)
 			}
 		}
 	}
 	for _, name := range p.order {
 		for _, m := range p.classes[name].Methods {
 			for _, ins := range m.Instrs {
-				if ins.Op == OpInvoke {
-					p.callers[ins.Callee] = append(p.callers[ins.Callee], ins)
+				switch ins.Op {
+				case OpGetField, OpPutField, OpCollOp:
+					if candidate[ins.Field] {
+						p.candidateAccesses = append(p.candidateAccesses, ins)
+					}
 				}
 			}
 		}
 	}
-	p.built = true
-	return p
 }
 
 // Class returns the class named t, or nil.
@@ -371,49 +485,40 @@ func SplitPoint(id PointID) (MethodID, int, bool) {
 // Subtypes returns t and every modeled transitive subtype of t (classes
 // whose Super chain or interface list reaches t).
 func (p *Program) Subtypes(t TypeID) []TypeID {
-	out := []TypeID{t}
-	seen := map[TypeID]bool{t: true}
-	changed := true
-	for changed {
-		changed = false
-		for _, name := range p.order {
-			c := p.classes[name]
-			if seen[c.Name] {
-				continue
-			}
-			if seen[c.Super] {
-				seen[c.Name] = true
-				out = append(out, c.Name)
-				changed = true
-				continue
-			}
-			for _, i := range c.Interfaces {
-				if seen[i] {
-					seen[c.Name] = true
-					out = append(out, c.Name)
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return out
+	return append([]TypeID{t}, p.subtypes[t]...)
 }
 
 // LogStmts returns every logging statement in the program, with its
 // containing instruction, in deterministic order.
 func (p *Program) LogStmts() []*Instr {
-	var out []*Instr
-	for _, name := range p.order {
-		for _, m := range p.classes[name].Methods {
-			for _, ins := range m.Instrs {
-				if ins.Op == OpLog {
-					out = append(out, ins)
-				}
-			}
-		}
+	return append([]*Instr(nil), p.logStmts...)
+}
+
+// CandidateFields returns, in registration order, the fields that can
+// ever be classified as meta-info: those whose declared, element or key
+// type is a program class or a logged non-base type (Definition 2 marks
+// no other type), and those a LogArg.Field link names. The background
+// corpus holds none, so the analysis cost follows the hand-written
+// model. The slice is shared and must not be modified.
+func (p *Program) CandidateFields() []*Field { return p.candidates }
+
+// CandidateAccesses returns, in program order, every getfield, putfield
+// and collection-op instruction on a candidate field. The slice is
+// shared and must not be modified.
+func (p *Program) CandidateAccesses() []*Instr { return p.candidateAccesses }
+
+// Derived returns the value build returned the first time Derived was
+// called with key since the program was built. Packages ir cannot import
+// keep immutable structures that are a function of the program alone
+// here (logparse its matcher), so sharing a program shares them too.
+func (p *Program) Derived(key any, build func() any) any {
+	e, ok := p.derived.Load(key)
+	if !ok {
+		e, _ = p.derived.LoadOrStore(key, new(derivedEntry))
 	}
-	return out
+	d := e.(*derivedEntry)
+	d.once.Do(func() { d.v = build() })
+	return d.v
 }
 
 // Census counts for Table 10 (left half): total types, fields and field

@@ -1,7 +1,9 @@
 package ir
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -141,6 +143,113 @@ func TestSubtypesViaInterface(t *testing.T) {
 	subs := p.Subtypes("x.I")
 	if len(subs) != 3 {
 		t.Errorf("subtypes = %v, want I, Impl, Sub", subs)
+	}
+}
+
+// The subtype table keeps the order of a registration-order sweep to a
+// fixed point: a class registered before its parent is found a pass
+// later, after the classes that follow their parents.
+func TestSubtypesParentRegisteredLater(t *testing.T) {
+	p := NewProgram("x")
+	p.AddClass(&Class{Name: "x.C", Super: "x.B"})
+	p.AddClass(&Class{Name: "x.B", Super: "x.A"})
+	p.AddClass(&Class{Name: "x.A"})
+	p.AddClass(&Class{Name: "x.D", Interfaces: []TypeID{"x.Other", "x.A"}})
+	p.AddClass(&Class{Name: "x.Unrelated"})
+	p.Build()
+	if got, want := p.Subtypes("x.A"), []TypeID{"x.A", "x.B", "x.D", "x.C"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Subtypes(x.A) = %v, want %v", got, want)
+	}
+	if got, want := p.Subtypes("x.Unrelated"), []TypeID{"x.Unrelated"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Subtypes(x.Unrelated) = %v, want %v", got, want)
+	}
+	if got, want := p.Subtypes("not.Modeled"), []TypeID{"not.Modeled"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Subtypes(not.Modeled) = %v, want %v", got, want)
+	}
+}
+
+// Candidate fields are those typed by a program class or a logged
+// non-base type, or named by a LogArg.Field link; base-typed fields that
+// nothing links stay out, whatever the logs print.
+func TestCandidateIndex(t *testing.T) {
+	p := NewProgram("c")
+	p.AddClass(&Class{Name: "c.Id"})
+	p.AddClass(&Class{
+		Name: "c.Holder",
+		Fields: []*Field{
+			{Name: "id", Type: "c.Id"},
+			{Name: "byId", Type: "java.util.HashMap", KeyType: "c.Id", ElemType: "java.lang.String"},
+			{Name: "list", Type: "java.util.ArrayList", ElemType: "java.lang.Long"},
+			{Name: "host", Type: "java.lang.String"},
+			{Name: "note", Type: "java.lang.String"},
+			{Name: "flag", Type: "java.lang.Boolean"},
+		},
+		Methods: []*Method{{Name: "m", Instrs: []*Instr{
+			{Op: OpGetField, Field: "c.Holder.note"},
+			{Op: OpPutField, Field: "c.Holder.host"},
+			{Op: OpCollOp, Field: "c.Holder.list", CollMethod: "add"},
+			{Op: OpGetField, Field: "c.Holder.flag"},
+			{Op: OpLog, Log: &LogStmt{Level: "info", Segments: []string{"host ", " list ", " note ", ""}, Args: []LogArg{
+				{Name: "host", Type: "java.lang.String", Field: "c.Holder.host"},
+				{Name: "list", Type: "java.util.ArrayList"},
+				{Name: "note", Type: "java.lang.String"},
+			}}},
+			{Op: OpGetField, Field: "c.Holder.id"},
+			{Op: OpReturn},
+		}}},
+	})
+	p.Build()
+	var fields []string
+	for _, f := range p.CandidateFields() {
+		fields = append(fields, f.Name)
+	}
+	if want := []string{"id", "byId", "list", "host"}; !reflect.DeepEqual(fields, want) {
+		t.Errorf("candidate fields = %v, want %v", fields, want)
+	}
+	var accesses []PointID
+	for _, ins := range p.CandidateAccesses() {
+		accesses = append(accesses, ins.ID)
+	}
+	if want := []PointID{"c.Holder.m#1", "c.Holder.m#2", "c.Holder.m#5"}; !reflect.DeepEqual(accesses, want) {
+		t.Errorf("candidate accesses = %v, want %v", accesses, want)
+	}
+}
+
+func TestDerivedBuildsOncePerKey(t *testing.T) {
+	p := tinyProgram()
+	type key struct{}
+	var mu sync.Mutex
+	builds := 0
+	build := func() any {
+		mu.Lock()
+		defer mu.Unlock()
+		builds++
+		return new(int)
+	}
+	var wg sync.WaitGroup
+	got := make([]any, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = p.Derived(key{}, build)
+		}(i)
+	}
+	wg.Wait()
+	for _, v := range got {
+		if v != got[0] {
+			t.Fatal("Derived returned different values for one key")
+		}
+	}
+	if builds != 1 {
+		t.Errorf("builds = %d, want 1", builds)
+	}
+	// Extending the program rebuilds it, and what was derived goes with
+	// the old build.
+	p.AddClass(&Class{Name: "t.Late"})
+	p.Build()
+	if p.Derived(key{}, build) == got[0] || builds != 2 {
+		t.Errorf("Derived survived a rebuild (builds = %d)", builds)
 	}
 }
 

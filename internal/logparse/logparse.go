@@ -98,20 +98,22 @@ func ExtractPatterns(p *ir.Program) []*Pattern {
 // per-record path never re-derives pattern-side state.
 func NewMatcher(patterns []*Pattern) *Matcher {
 	m := &Matcher{
-		patterns:  patterns,
-		index:     make(map[string][]int32),
+		patterns: patterns,
+		// Sized for about four distinct words a pattern, so building the
+		// index does not regrow the map.
+		index:     make(map[string][]int32, 4*len(patterns)),
 		TopK:      DefaultTopK,
 		prefilter: true,
 		preExact:  make(map[string]bool),
 	}
 	seenPrefix := map[string]bool{}
 	for i, p := range patterns {
-		seen := map[string]bool{}
 		for _, seg := range p.Stmt.Segments {
 			forEachWord(seg, func(w string) {
-				if !seen[w] {
-					seen[w] = true
-					m.index[w] = append(m.index[w], int32(i))
+				// Patterns are indexed in order, so a word this pattern
+				// already contributed is the last entry of its list.
+				if l := m.index[w]; len(l) == 0 || l[len(l)-1] != int32(i) {
+					m.index[w] = append(l, int32(i))
 				}
 			})
 		}
@@ -141,6 +143,17 @@ func NewMatcher(patterns []*Pattern) *Matcher {
 		}
 	}
 	return m
+}
+
+// matcherKey is the ir.Program.Derived slot of MatcherFor.
+type matcherKey struct{}
+
+// MatcherFor returns the matcher over the program's own patterns,
+// NewMatcher(ExtractPatterns(p)). It is a function of the program alone
+// and immutable, so it is built once per program and shared by every
+// caller; scratch state stays in each caller's MatchSession.
+func MatcherFor(p *ir.Program) *Matcher {
+	return p.Derived(matcherKey{}, func() any { return NewMatcher(ExtractPatterns(p)) }).(*Matcher)
 }
 
 // isWordByte reports whether b belongs to an index word. The class is

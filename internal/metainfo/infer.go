@@ -145,21 +145,21 @@ func InferWith(p *ir.Program, matches []*logparse.Match, hosts []string, opts In
 				}
 			}
 		}
-		// Field classification + containing-class rule.
-		for _, c := range p.Classes() {
-			for _, f := range c.Fields {
-				info := a.metaFieldReason(f)
-				if info == nil {
-					continue
-				}
-				if a.addFieldInfo(info) {
+		// Field classification + containing-class rule. Every meta-info
+		// type is a program class or a logged type, so only the program's
+		// candidate fields can classify; the rest of the corpus is skipped.
+		for _, f := range p.CandidateFields() {
+			info := a.metaFieldReason(f)
+			if info == nil {
+				continue
+			}
+			if a.addFieldInfo(info) {
+				changed = true
+			}
+			if f.SetOnlyInCtor && !opts.NoClosure {
+				if a.addType(f.Owner, info.Kind, false,
+					"contains ctor-set field "+f.Name+" of meta-info type") {
 					changed = true
-				}
-				if f.SetOnlyInCtor && !opts.NoClosure {
-					if a.addType(c.Name, info.Kind, false,
-						"contains ctor-set field "+f.Name+" of meta-info type") {
-						changed = true
-					}
 				}
 			}
 		}
@@ -256,16 +256,9 @@ func (a *Analysis) Kinds() map[string][]*TypeInfo {
 // "Meta-info Access Points" column of Table 10.
 func (a *Analysis) MetaAccessPoints() []*ir.Instr {
 	var out []*ir.Instr
-	for _, c := range a.Program.Classes() {
-		for _, m := range c.Methods {
-			for _, ins := range m.Instrs {
-				switch ins.Op {
-				case ir.OpGetField, ir.OpPutField, ir.OpCollOp:
-					if a.IsMetaField(ins.Field) {
-						out = append(out, ins)
-					}
-				}
-			}
+	for _, ins := range a.Program.CandidateAccesses() {
+		if a.IsMetaField(ins.Field) {
+			out = append(out, ins)
 		}
 	}
 	return out

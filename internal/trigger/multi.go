@@ -16,7 +16,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/crashpoint"
 	"repro/internal/dslog"
-	"repro/internal/logparse"
 	"repro/internal/probe"
 	"repro/internal/sim"
 	"repro/internal/stash"
@@ -42,10 +41,7 @@ func (t *Tester) TestPair(first, second probe.DynPoint) PairReport {
 
 	pb := probe.New()
 	logs := dslog.NewRoot()
-	matcher := t.Matcher
-	if matcher == nil {
-		matcher = logparse.NewMatcher(logparse.ExtractPatterns(t.Runner.Program()))
-	}
+	matcher := t.matcher()
 	st := stash.New(t.Runner.Hosts(), matcher, t.Analysis)
 	st.Attach(logs)
 	run := t.Runner.NewRun(cluster.Config{Seed: t.Seed, Scale: t.Scale, Probe: pb, Logs: logs})

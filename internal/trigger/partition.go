@@ -25,7 +25,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/crashpoint"
 	"repro/internal/dslog"
-	"repro/internal/logparse"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/probe"
@@ -171,10 +170,7 @@ type GuidedPoint struct {
 // survived learning (or none was violated in a clean run) and the
 // caller should fall back to a standard partition campaign.
 func (t *Tester) GuidedPoints() []GuidedPoint {
-	matcher := t.Matcher
-	if matcher == nil {
-		matcher = logparse.NewMatcher(logparse.ExtractPatterns(t.Runner.Program()))
-	}
+	matcher := t.matcher()
 	deadline := t.RunDeadline()
 	hosts := t.Runner.Hosts()
 
@@ -278,10 +274,7 @@ func (t *Tester) guidedPoint(run int, gp GuidedPoint) Report {
 	pb := probe.New()
 	pb.SkipAccesses = gp.Ordinal
 	logs := dslog.NewRoot()
-	matcher := t.Matcher
-	if matcher == nil {
-		matcher = logparse.NewMatcher(logparse.ExtractPatterns(t.Runner.Program()))
-	}
+	matcher := t.matcher()
 	st := stash.New(t.Runner.Hosts(), matcher, t.Analysis)
 	st.Attach(logs)
 	sysRun := t.Runner.NewRun(cluster.Config{Seed: t.Seed, Scale: t.Scale, Probe: pb, Logs: logs})

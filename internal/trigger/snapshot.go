@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"repro/internal/dslog"
-	"repro/internal/logparse"
 	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/sim"
@@ -197,10 +196,7 @@ func (t *Tester) BuildSnapshotPlan() *SnapshotPlan {
 	start := time.Now()
 	pb := probe.New()
 	logs := dslog.NewRoot()
-	matcher := t.Matcher
-	if matcher == nil {
-		matcher = logparse.NewMatcher(logparse.ExtractPatterns(t.Runner.Program()))
-	}
+	matcher := t.matcher()
 	st := stash.New(t.Runner.Hosts(), matcher, t.Analysis)
 	st.Attach(logs)
 	sysRun := t.Runner.NewRun(cluster.Config{Seed: t.Seed, Scale: t.Scale, Probe: pb, Logs: logs})

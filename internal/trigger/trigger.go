@@ -220,6 +220,15 @@ type Tester struct {
 	NoClone bool
 }
 
+// matcher returns the configured Matcher, or the one the runner's program
+// carries when none was set.
+func (t *Tester) matcher() *logparse.Matcher {
+	if t.Matcher != nil {
+		return t.Matcher
+	}
+	return logparse.MatcherFor(t.Runner.Program())
+}
+
 // timeoutFactor returns the §4.1.3 timeout-issue threshold factor.
 func (t *Tester) timeoutFactor() int {
 	if t.TimeoutFactor <= 0 {
@@ -314,10 +323,7 @@ func (t *Tester) testPoint(run int, d probe.DynPoint) Report {
 
 	pb := probe.New()
 	logs := dslog.NewRoot()
-	matcher := t.Matcher
-	if matcher == nil {
-		matcher = logparse.NewMatcher(logparse.ExtractPatterns(t.Runner.Program()))
-	}
+	matcher := t.matcher()
 	st := stash.New(t.Runner.Hosts(), matcher, t.Analysis)
 	st.Attach(logs)
 	sysRun := t.Runner.NewRun(cluster.Config{Seed: t.Seed, Scale: t.Scale, Probe: pb, Logs: logs})
