@@ -371,12 +371,11 @@ func BenchmarkCampaignSequential(b *testing.B) { benchCampaign(b, 1) }
 
 // benchCampaignSnapshot measures the same sequential Yarn campaign with
 // runs forked from a snapshot plan (snapshot=true) or replayed from t=0
-// (snapshot=false); the ratio is the number BENCH_campaign.json records
-// and the bench-gate CI job enforces.
+// (snapshot=false). This pair is the go-test way to read the
+// fork-vs-full-replay ratio.
 func benchCampaignSnapshot(b *testing.B, snapshot bool) {
 	b.ReportAllocs()
 	r, _ := all.ByName("yarn")
-	// Scale 2 matches the committed BENCH_campaign.json workload.
 	opts := core.Options{Seed: 11, Scale: 2}
 	res, matcher := core.SharedArtifacts.AnalysisPhase(r, opts)
 	core.ProfilePhase(r, res, opts)
@@ -399,9 +398,9 @@ func benchCampaignSnapshot(b *testing.B, snapshot bool) {
 // reference-pass snapshot (the pipeline default).
 func BenchmarkCampaignSnapshot(b *testing.B) { benchCampaignSnapshot(b, true) }
 
-// BenchmarkCampaignFullReplay replays every injection run from t=0 (the
-// core.Options.NoSnapshots path); compare against
-// BenchmarkCampaignSnapshot for the speedup.
+// BenchmarkCampaignFullReplay replays every injection run from t=0;
+// compare against BenchmarkCampaignSnapshot for the fork-vs-full-replay
+// ratio.
 func BenchmarkCampaignFullReplay(b *testing.B) { benchCampaignSnapshot(b, false) }
 
 // BenchmarkCampaignParallel fans the same campaign out across one worker

@@ -95,24 +95,102 @@ func diffCampaigns(t *testing.T, tester *trigger.Tester, plan *trigger.SnapshotP
 
 // TestSnapshotCampaignsMatchLegacyEverySystem is the differential
 // acceptance oracle: on all seven systems, the snapshot-forked campaign
-// must reproduce the full-replay campaign exactly.
+// must reproduce the full-replay campaign exactly. One extra case runs
+// yarn at scale 6, the longest timeline forked per commit.
 func TestSnapshotCampaignsMatchLegacyEverySystem(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full differential campaigns on all systems")
 	}
+	check := func(t *testing.T, r cluster.Runner, scale int) {
+		tester, points := snapshotFixture(t, r, 11, scale)
+		if len(points) == 0 {
+			t.Fatal("profiling collected no dynamic points")
+		}
+		plan := tester.BuildSnapshotPlan()
+		if plan.Points() == 0 {
+			t.Fatal("reference pass captured no points")
+		}
+		diffCampaigns(t, tester, plan, points)
+	}
 	scale := oracleScale(t)
 	for _, r := range append(all.Runners(), all.Extensions()...) {
 		r := r
+		t.Run(r.Name(), func(t *testing.T) { check(t, r, scale) })
+	}
+	t.Run("yarn-scale6", func(t *testing.T) {
+		r, err := all.ByName("yarn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, r, 6)
+	})
+}
+
+// TestRunPathTierCensus counts which fork tier serves each run of the
+// crash, recovery and partition campaigns on all seven systems, at seed
+// 11 and scale 1 over one snapshot plan per system. No fence may trip,
+// and every run must be a clone fork, a lean replay or a synthesized
+// NotHit report, so none reaches the legacy full run. Lean replay serves
+// exactly the hit points whose first hit precedes every clone rung: two
+// per campaign on zookeeper, none on the other systems.
+func TestRunPathTierCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full campaigns on all systems")
+	}
+	counters := [...]string{
+		"crashtuner_clone_forks_total",
+		"crashtuner_snapshot_forks_total",
+		"crashtuner_snapshot_synthesized_total",
+		"crashtuner_clone_fallbacks_total",
+		"crashtuner_snapshot_invalidations_total",
+	}
+	read := func() (v [len(counters)]uint64) {
+		for i, name := range counters {
+			v[i] = obs.Default.Counter(name).Value()
+		}
+		return v
+	}
+	wantLean := map[string]int{"zookeeper": 2}
+	families := []struct {
+		name string
+		set  func(*trigger.Tester)
+	}{
+		{"crash", func(*trigger.Tester) {}},
+		{"recovery", func(ft *trigger.Tester) { ft.Recovery = &trigger.RecoveryOptions{RestartDelay: sim.Second} }},
+		{"partition", func(ft *trigger.Tester) { ft.Partition = &trigger.PartitionOptions{} }},
+	}
+	for _, r := range append(all.Runners(), all.Extensions()...) {
+		r := r
 		t.Run(r.Name(), func(t *testing.T) {
-			tester, points := snapshotFixture(t, r, 11, scale)
-			if len(points) == 0 {
-				t.Fatal("profiling collected no dynamic points")
+			tester, points := snapshotFixture(t, r, 11, 1)
+			tester.Snapshots = tester.BuildSnapshotPlan()
+			lean := tester.Snapshots.LeanPoints(points)
+			if lean != wantLean[r.Name()] {
+				t.Errorf("%d hit points precede every clone rung, want %d", lean, wantLean[r.Name()])
 			}
-			plan := tester.BuildSnapshotPlan()
-			if plan.Points() == 0 {
-				t.Fatal("reference pass captured no points")
+			for _, fam := range families {
+				ft := *tester
+				fam.set(&ft)
+				before := read()
+				ft.Campaign(points)
+				after := read()
+				var d [len(counters)]uint64
+				for i := range d {
+					d[i] = after[i] - before[i]
+				}
+				clone, leanForks, synth, fallbacks, invalid := d[0], d[1], d[2], d[3], d[4]
+				t.Logf("%s: %d points = %d clone + %d lean + %d synthesized", fam.name, len(points), clone, leanForks, synth)
+				if fallbacks != 0 || invalid != 0 {
+					t.Errorf("%s: %d clone fallbacks and %d snapshot invalidations, want none", fam.name, fallbacks, invalid)
+				}
+				if got := clone + leanForks + synth; got != uint64(len(points)) {
+					t.Errorf("%s: %d clone + %d lean + %d synthesized runs for %d points; the rest took the legacy full run",
+						fam.name, clone, leanForks, synth, len(points))
+				}
+				if leanForks != uint64(lean) {
+					t.Errorf("%s: %d lean replays, want the %d points no rung precedes", fam.name, leanForks, lean)
+				}
 			}
-			diffCampaigns(t, tester, plan, points)
 		})
 	}
 }
