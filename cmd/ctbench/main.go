@@ -9,9 +9,11 @@
 //	ctbench -exp table10    # one experiment
 //	ctbench -exp list       # list experiment ids
 //
-// The offline analysis artifacts are memoized per system through
-// core.SharedArtifacts, so rendering several run-based tables pays the
-// analysis phase once; -artifact-cache=false disables the cache.
+// Everything that reads no fault parameter — the analysis, the profile,
+// the fault-free baseline and the snapshot plans — is memoized per
+// system through core.SharedArtifacts, so the crash, recovery and
+// partition tables pay it once and only their injection runs each;
+// -artifact-cache=false disables the cache.
 package main
 
 import (
@@ -41,7 +43,7 @@ func main() {
 		seed       = flag.Int64("seed", 11, "seed")
 		scale      = flag.Int("scale", 1, "workload scale")
 		randomRuns = flag.Int("random-runs", 200, "runs per system for the random baseline (paper: 3000)")
-		useCache   = flag.Bool("artifact-cache", true, "memoize the offline analysis phase per system (output is identical either way)")
+		useCache   = flag.Bool("artifact-cache", true, "memoize analysis, profile, baseline and snapshot plans per system (output is identical either way)")
 		restartMS  = flag.Int64("restart-after", 2000, "recovery experiment: restart the victim this many ms (virtual) after the fault")
 		secondMS   = flag.Int64("second-fault-after", 0, "recovery experiment: inject a second fault this many ms (virtual) after the restart (0: none)")
 		secondKind = flag.String("second-fault", "crash", "recovery experiment: second fault kind (crash or shutdown)")

@@ -121,18 +121,29 @@ func TestParallelCampaignDeterminism(t *testing.T) {
 
 // TestParallelTablesByteIdentical renders every deterministic run-based
 // table from a fully sequential experiment set, from a parallel one, and
-// from a parallel one backed by the analysis-artifact cache: the output
-// must match byte for byte (Table 11 is excluded — it reports wall-clock
-// timings).
+// from a parallel one backed by the artifact cache: the output must
+// match byte for byte (Table 11 is excluded — it reports wall-clock
+// timings). The cached set runs the recovery and partition campaigns
+// first, in ctbench's order, so the crash pipelines take the analysis,
+// profile, baseline and snapshot plans those campaigns memoized.
 func TestParallelTablesByteIdentical(t *testing.T) {
 	render := func(workers int, cache *core.ArtifactCache) string {
 		x := report.NewExperiments(11, 1, 30)
 		x.Workers = workers
 		x.Artifacts = cache
+		if cache != nil {
+			x.RunRecovery(nil)
+			x.RunPartition(nil)
+		}
 		x.RunPipelines()
 		x.RunBaselines()
+		if cache == nil {
+			x.RunRecovery(nil)
+			x.RunPartition(nil)
+		}
 		return x.CampaignSummary() + x.Table5Live() + x.Table7() + x.Table8() +
-			x.Table9() + x.Table10() + x.Table12() + x.Timeouts()
+			x.Table9() + x.Table10() + x.Table12() + x.Timeouts() +
+			x.RecoveryTable() + x.PartitionTable()
 	}
 	seq := render(1, nil)
 	par := render(8, nil)

@@ -2,36 +2,87 @@ package core
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/logparse"
+	"repro/internal/profiler"
 	"repro/internal/sim"
 	"repro/internal/systems/cluster"
 	"repro/internal/trigger"
 )
 
-// ArtifactCache memoizes the offline AnalysisPhase. The phase is a pure
-// function of (system, seed, scale, deadline): it replays one fault-free
-// profiling run and derives the patterns, the meta-info analysis and the
-// static crash points — all immutable once built. Experiments that touch
-// the same system repeatedly (ctbench rendering several tables, the
-// benchmarks, table-set comparisons) therefore run the offline phase once
-// per system per process and share the artifacts.
+// ArtifactCache memoizes everything in the pipeline that reads no fault
+// parameter: the offline AnalysisPhase, the profile, the fault-free
+// baseline and the snapshot plan. Each is a pure function of (system,
+// seed, scale) plus the few Options fields its key names: the analysis
+// replays one fault-free profiling run and derives the patterns, the
+// meta-info analysis and the static crash points; the profile runs the
+// system against those static points; the baseline and the plan's
+// reference pass are fault-free runs. All of them are immutable once
+// built. Experiments that touch the same system repeatedly (ctbench
+// rendering several tables, crash/recovery/partition campaigns over one
+// configuration, the benchmarks) therefore pay the offline half once per
+// system per process, as the paper's Table 11 charges it, and only the
+// injection runs again.
 //
 // Cached artifacts are safe to share: the Matcher is immutable after
 // construction (scratch state lives in per-caller MatchSessions), and
-// the Analysis and Static results are read-only downstream. Each hit
-// returns a fresh *Result value so the mutable pipeline fields (Dynamic,
-// Baseline, Reports, Summary, Timing) never alias between callers.
+// the Analysis, Static, profile, baseline census and plan are read-only
+// downstream. Each hit returns a fresh *Result value so the mutable
+// pipeline fields (Reports, Summary, Failmode, Timing) never alias
+// between callers. A hit copies the cold wall time of the build into
+// Timing, so Table 11 reports the same kind of number whichever
+// experiment ran first, and emits no phase span.
 //
-// Invalidation: keys capture every Options field the phase reads, so a
-// cache never serves stale artifacts for a different configuration; use
-// Reset to drop all entries (e.g. between experiments that mutate global
-// registries, which none currently do).
+// Invalidation: keys capture every Options field each artifact reads,
+// so a cache never serves stale artifacts for a different
+// configuration; use Reset to drop all entries (e.g. between experiments
+// that mutate global registries, which none currently do).
 type ArtifactCache struct {
-	mu        sync.Mutex
-	entries   map[artifactKey]*artifactEntry
-	plans     map[planKey]*planEntry
-	baselines map[baselineKey]*baselineEntry
+	analyses  memo[artifactKey, analysis]
+	profiles  memo[profileKey, profile]
+	baselines memo[baselineKey, trigger.Baseline]
+	plans     memo[planKey, *trigger.SnapshotPlan]
+}
+
+// memo is a single-flight map: the first get of a key builds its value,
+// concurrent gets of that key wait for the build, and later ones share
+// the value. The zero memo is empty and ready to use.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*memoEntry[V]
+}
+
+type memoEntry[V any] struct {
+	once sync.Once
+	v    V
+}
+
+func (m *memo[K, V]) get(k K, build func() V) V {
+	m.mu.Lock()
+	if m.m == nil {
+		m.m = make(map[K]*memoEntry[V])
+	}
+	e, ok := m.m[k]
+	if !ok {
+		e = &memoEntry[V]{}
+		m.m[k] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v
+}
+
+func (m *memo[K, V]) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.m)
+}
+
+func (m *memo[K, V]) reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.m = nil
 }
 
 // artifactKey captures the AnalysisPhase inputs: the system plus the
@@ -44,10 +95,32 @@ type artifactKey struct {
 	deadline sim.Time
 }
 
-type artifactEntry struct {
-	once    sync.Once
+func analysisKey(r cluster.Runner, opts Options) artifactKey {
+	return artifactKey{system: r.Name(), seed: opts.Seed, scale: opts.Scale, deadline: opts.Deadline}
+}
+
+type analysis struct {
 	res     Result // template; copied on every hit
 	matcher *logparse.Matcher
+}
+
+// profileKey captures the ProfilePhase inputs: the static points it arms
+// are a function of the analysis key, so that key plus the profiler's
+// own knob is the whole input.
+type profileKey struct {
+	artifactKey
+	maxIterations int
+}
+
+type profile struct {
+	set  *profiler.Set
+	wall time.Duration // the build's Timing.Profile
+}
+
+// baselineKey captures the trigger.MeasureBaseline inputs.
+type baselineKey struct {
+	artifactKey
+	runs int
 }
 
 // planKey captures everything a snapshot plan's reference pass depends
@@ -62,33 +135,8 @@ type planKey struct {
 	maxSteps uint64
 }
 
-type planEntry struct {
-	once sync.Once
-	plan *trigger.SnapshotPlan
-}
-
-// baselineKey captures the trigger.MeasureBaseline inputs.
-type baselineKey struct {
-	system   string
-	seed     int64
-	scale    int
-	runs     int
-	deadline sim.Time
-}
-
-type baselineEntry struct {
-	once     sync.Once
-	baseline trigger.Baseline
-}
-
 // NewArtifactCache returns an empty cache.
-func NewArtifactCache() *ArtifactCache {
-	return &ArtifactCache{
-		entries:   make(map[artifactKey]*artifactEntry),
-		plans:     make(map[planKey]*planEntry),
-		baselines: make(map[baselineKey]*baselineEntry),
-	}
-}
+func NewArtifactCache() *ArtifactCache { return &ArtifactCache{} }
 
 // SharedArtifacts is the process-wide cache used by ctbench and the
 // benchmarks.
@@ -100,21 +148,27 @@ var SharedArtifacts = NewArtifactCache()
 // artifact fields (Analysis, Static) alias the cached ones.
 func (c *ArtifactCache) AnalysisPhase(r cluster.Runner, opts Options) (*Result, *logparse.Matcher) {
 	opts.defaults()
-	key := artifactKey{system: r.Name(), seed: opts.Seed, scale: opts.Scale, deadline: opts.Deadline}
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &artifactEntry{}
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
+	a := c.analyses.get(analysisKey(r, opts), func() analysis {
 		res, matcher := AnalysisPhase(r, opts)
-		e.res = *res
-		e.matcher = matcher
+		return analysis{*res, matcher}
 	})
-	out := e.res
-	return &out, e.matcher
+	out := a.res
+	return &out, a.matcher
+}
+
+// profilePhase is the memoized form of the package-level ProfilePhase.
+// res must come from c.AnalysisPhase under the same opts: the key omits
+// the static points because they are a function of the analysis key.
+// Every caller of a key shares one immutable *profiler.Set.
+func (c *ArtifactCache) profilePhase(r cluster.Runner, res *Result, opts Options) {
+	opts.defaults()
+	key := profileKey{analysisKey(r, opts), opts.MaxProfileIterations}
+	p := c.profiles.get(key, func() profile {
+		built := Result{Static: res.Static}
+		ProfilePhase(r, &built, opts)
+		return profile{built.Dynamic, built.Timing.Profile}
+	})
+	res.Dynamic, res.Timing.Profile = p.set, p.wall
 }
 
 // SnapshotPlan memoizes trigger.Tester.BuildSnapshotPlan per (system,
@@ -133,67 +187,43 @@ func (c *ArtifactCache) SnapshotPlan(t *trigger.Tester) *trigger.SnapshotPlan {
 		deadline: t.RunDeadline(),
 		maxSteps: t.MaxSteps,
 	}
-	c.mu.Lock()
-	e, ok := c.plans[key]
-	if !ok {
-		e = &planEntry{}
-		c.plans[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.plan = t.BuildSnapshotPlan() })
-	return e.plan
+	return c.plans.get(key, t.BuildSnapshotPlan)
 }
 
 // Baseline memoizes trigger.MeasureBaseline per (system, seed, scale,
-// runs, deadline): the fault-free runs read no fault parameter, so the
-// executors a fleet worker builds for the campaign kinds of one plan
-// set share one measurement. The returned value aliases the cached
-// exception census, which is read-only downstream.
+// deadline, runs): the fault-free runs read no fault parameter, so every
+// campaign kind over one configuration — the test phases of a cached
+// pipeline, the executors a fleet worker builds, a confirmation
+// executor — shares one measurement. The returned value aliases the
+// cached exception census, which is read-only downstream.
 func (c *ArtifactCache) Baseline(r cluster.Runner, opts Options) trigger.Baseline {
 	opts.defaults()
-	key := baselineKey{system: r.Name(), seed: opts.Seed, scale: opts.Scale, runs: opts.BaselineRuns, deadline: opts.Deadline}
-	c.mu.Lock()
-	e, ok := c.baselines[key]
-	if !ok {
-		e = &baselineEntry{}
-		c.baselines[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.baseline = trigger.MeasureBaseline(r, opts.Seed, opts.Scale, opts.BaselineRuns, opts.Deadline)
+	return c.baselines.get(baselineKey{analysisKey(r, opts), opts.BaselineRuns}, func() trigger.Baseline {
+		return trigger.MeasureBaseline(r, opts.Seed, opts.Scale, opts.BaselineRuns, opts.Deadline)
 	})
-	return e.baseline
 }
 
-// Run executes the full pipeline, reusing cached analysis artifacts and
-// memoized snapshot plans.
+// Run executes the full pipeline on the cached analysis, profile,
+// baseline and snapshot plans: only the injection campaign is paid on
+// every call.
 func (c *ArtifactCache) Run(r cluster.Runner, opts Options) *Result {
 	res, matcher := c.AnalysisPhase(r, opts)
-	ProfilePhase(r, res, opts)
+	c.profilePhase(r, res, opts)
 	opts.artifacts = c
 	TestPhase(r, matcher, res, opts)
 	return res
 }
 
 // Len returns the number of cached analysis entries.
-func (c *ArtifactCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *ArtifactCache) Len() int { return c.analyses.len() }
 
 // Plans returns the number of memoized snapshot plans.
-func (c *ArtifactCache) Plans() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.plans)
-}
+func (c *ArtifactCache) Plans() int { return c.plans.len() }
 
 // Reset drops every cached entry.
 func (c *ArtifactCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[artifactKey]*artifactEntry)
-	c.plans = make(map[planKey]*planEntry)
-	c.baselines = make(map[baselineKey]*baselineEntry)
+	c.analyses.reset()
+	c.profiles.reset()
+	c.baselines.reset()
+	c.plans.reset()
 }

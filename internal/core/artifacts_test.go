@@ -99,6 +99,107 @@ func TestArtifactCacheConcurrentSingleFlight(t *testing.T) {
 	}
 }
 
+// Every fault family run through one cache must equal its uncached run
+// in every result field the pipeline reports, while the profile and the
+// baseline — which read no fault parameter — are built once per (system,
+// seed, scale) and shared by all five families: crash, recovery,
+// partition, partition-aware recovery and the consistency-guided
+// partition campaign. Another seed or scale gets its own.
+func TestArtifactCacheSharesProfileAndBaselineAcrossFamilies(t *testing.T) {
+	census := func(b trigger.Baseline) uintptr { return reflect.ValueOf(b.Exceptions).Pointer() }
+	rc := &trigger.RecoveryOptions{}
+	families := []struct {
+		name string
+		opts core.Options
+	}{
+		{"crash", core.Options{Seed: 11, Scale: 1}},
+		{"recovery", core.Options{Seed: 11, Scale: 1, Recovery: rc}},
+		{"partition", core.Options{Seed: 11, Scale: 1, Partition: &trigger.PartitionOptions{}}},
+		{"partition-recovery", core.Options{Seed: 11, Scale: 1, Recovery: rc, Partition: &trigger.PartitionOptions{}}},
+		{"guided", core.Options{Seed: 11, Scale: 1, Partition: &trigger.PartitionOptions{Guided: true}}},
+	}
+	for _, r := range []cluster.Runner{&toysys.Runner{}, &yarn.Runner{}} {
+		cache := core.NewArtifactCache()
+		var first *core.Result
+		for _, f := range families {
+			name, opts := f.name, f.opts
+			cached := cache.Run(r, opts)
+			plain := core.Run(r, opts)
+			if !reflect.DeepEqual(cached.Reports, plain.Reports) {
+				t.Errorf("%s %s: cached reports differ from uncached", r.Name(), name)
+			}
+			if !reflect.DeepEqual(cached.Summary, plain.Summary) {
+				t.Errorf("%s %s: summaries differ:\n  cached: %+v\n  plain:  %+v", r.Name(), name, cached.Summary, plain.Summary)
+			}
+			if !reflect.DeepEqual(*cached.Dynamic, *plain.Dynamic) {
+				t.Errorf("%s %s: profiles differ:\n  cached: %+v\n  plain:  %+v", r.Name(), name, *cached.Dynamic, *plain.Dynamic)
+			}
+			if !reflect.DeepEqual(cached.Baseline, plain.Baseline) {
+				t.Errorf("%s %s: baselines differ:\n  cached: %+v\n  plain:  %+v", r.Name(), name, cached.Baseline, plain.Baseline)
+			}
+			if first == nil {
+				first = cached
+				continue
+			}
+			if cached.Dynamic != first.Dynamic {
+				t.Errorf("%s %s: profiled again instead of sharing the first family's profile", r.Name(), name)
+			}
+			if census(cached.Baseline) != census(first.Baseline) {
+				t.Errorf("%s %s: measured the baseline again instead of sharing it", r.Name(), name)
+			}
+			if cached.Timing.Profile != first.Timing.Profile {
+				t.Errorf("%s %s: a profile hit reports %v, not the build's cold %v", r.Name(), name, cached.Timing.Profile, first.Timing.Profile)
+			}
+		}
+		for _, other := range []core.Options{{Seed: 12, Scale: 1}, {Seed: 11, Scale: 2}} {
+			res := cache.Run(r, other)
+			if res.Dynamic == first.Dynamic {
+				t.Errorf("%s seed %d scale %d shares the seed 11 scale 1 profile", r.Name(), other.Seed, other.Scale)
+			}
+			if census(res.Baseline) == census(first.Baseline) {
+				t.Errorf("%s seed %d scale %d shares the seed 11 scale 1 baseline", r.Name(), other.Seed, other.Scale)
+			}
+			if plain := core.Run(r, other); !reflect.DeepEqual(*res.Dynamic, *plain.Dynamic) {
+				t.Errorf("%s seed %d scale %d: cached profile differs from uncached", r.Name(), other.Seed, other.Scale)
+			}
+		}
+	}
+}
+
+// Concurrent first callers of one configuration run the pipeline once
+// per memoized artifact: all of them share one profile, one baseline
+// census and one snapshot plan.
+func TestArtifactCacheConcurrentRunsShareOneProfile(t *testing.T) {
+	cache := core.NewArtifactCache()
+	const n = 8
+	results := make([]*core.Result, n)
+	done := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			results[i] = cache.Run(&toysys.Runner{}, core.Options{Seed: 11, Scale: 1})
+			done <- i
+		}(i)
+	}
+	for i := 0; i < n; i++ {
+		<-done
+	}
+	if cache.Len() != 1 || cache.Plans() != 1 {
+		t.Fatalf("cache holds %d analyses and %d plans, want 1 and 1", cache.Len(), cache.Plans())
+	}
+	census := func(b trigger.Baseline) uintptr { return reflect.ValueOf(b.Exceptions).Pointer() }
+	for i := 1; i < n; i++ {
+		if results[i].Dynamic != results[0].Dynamic {
+			t.Fatal("concurrent callers should share one profiler.Set")
+		}
+		if census(results[i].Baseline) != census(results[0].Baseline) {
+			t.Fatal("concurrent callers should share one baseline")
+		}
+		if !reflect.DeepEqual(results[i].Reports, results[0].Reports) {
+			t.Fatal("concurrent callers produced different reports")
+		}
+	}
+}
+
 // A fleet worker builds one executor per leased campaign kind; the
 // fault-free baseline reads no fault parameter, so the executors of one
 // (system, seed, scale) share a single measurement, equal to a direct

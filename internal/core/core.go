@@ -74,8 +74,9 @@ type Options struct {
 	// failmode records. Modes never affect Summary.Bugs.
 	Analyze bool
 
-	// artifacts is set by ArtifactCache.Run so TestPhase can memoize
-	// snapshot plans alongside the cached analysis artifacts.
+	// artifacts is set by ArtifactCache.Run so TestPhase takes the
+	// baseline and the snapshot plans from the cache that holds the
+	// analysis and the profile.
 	artifacts *ArtifactCache
 }
 
@@ -208,6 +209,16 @@ func (o Options) snapshotPlan(t *trigger.Tester) *trigger.SnapshotPlan {
 	return t.BuildSnapshotPlan()
 }
 
+// baseline returns the fault-free baseline TestPhase judges runs
+// against: the memoized one when the phase runs under an ArtifactCache,
+// a fresh measurement otherwise.
+func (o Options) baseline(r cluster.Runner) trigger.Baseline {
+	if o.artifacts != nil {
+		return o.artifacts.Baseline(r, o)
+	}
+	return trigger.MeasureBaseline(r, o.Seed, o.Scale, o.BaselineRuns, o.Deadline)
+}
+
 // TestPhase measures the baseline and exercises every dynamic crash
 // point.
 func TestPhase(r cluster.Runner, matcher *logparse.Matcher, res *Result, opts Options) {
@@ -223,7 +234,7 @@ func TestPhase(r cluster.Runner, matcher *logparse.Matcher, res *Result, opts Op
 		opts.Sink = obs.Multi(opts.Sink, col)
 		opts.Recorder = campaign.MultiRecorder(opts.Recorder, col)
 	}
-	res.Baseline = trigger.MeasureBaseline(r, opts.Seed, opts.Scale, opts.BaselineRuns, opts.Deadline)
+	res.Baseline = opts.baseline(r)
 	t := &trigger.Tester{
 		Config:       opts.Config,
 		Runner:       r,

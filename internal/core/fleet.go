@@ -104,9 +104,11 @@ func OptionsOf(spec fleet.Spec) Options {
 // PlanFleet runs the planning half of one system's campaign — analysis
 // and profiling, no injection — and renders the wire plan: the spec,
 // one job per dynamic crash point, and the retry scale of the
-// single-process retry-at-final-scale rule. Consistency-guided
-// campaigns are rejected: guided ordinals derive from violation context
-// that is not wire-encodable, so they stay in-process.
+// single-process retry-at-final-scale rule. With a non-nil cache both
+// phases are memoized, so the campaign kinds of one (system, seed,
+// scale) analyse and profile once. Consistency-guided campaigns are
+// rejected: guided ordinals derive from violation context that is not
+// wire-encodable, so they stay in-process.
 func PlanFleet(r cluster.Runner, cache *ArtifactCache, opts Options) (fleet.Plan, error) {
 	opts.defaults()
 	if opts.Partition != nil && opts.Partition.Guided {
@@ -115,10 +117,11 @@ func PlanFleet(r cluster.Runner, cache *ArtifactCache, opts Options) (fleet.Plan
 	var res *Result
 	if cache != nil {
 		res, _ = cache.AnalysisPhase(r, opts)
+		cache.profilePhase(r, res, opts)
 	} else {
 		res, _ = AnalysisPhase(r, opts)
+		ProfilePhase(r, res, opts)
 	}
-	ProfilePhase(r, res, opts)
 	t := &trigger.Tester{Runner: r, Seed: opts.Seed, Scale: opts.Scale, Recovery: opts.Recovery, Partition: opts.Partition}
 	plan := fleet.Plan{Spec: SpecOf(r.Name(), opts), Jobs: t.Jobs(res.Dynamic.Points)}
 	if res.Dynamic.FinalScale > opts.Scale {
@@ -143,15 +146,13 @@ func FleetExecutors(cache *ArtifactCache, resolve func(name string) (cluster.Run
 			return nil, err
 		}
 		opts := OptionsOf(spec)
+		opts.artifacts = cache
 		var res *Result
 		var matcher *logparse.Matcher
-		var b trigger.Baseline
 		if cache != nil {
 			res, matcher = cache.AnalysisPhase(r, opts)
-			b = cache.Baseline(r, opts)
 		} else {
 			res, matcher = AnalysisPhase(r, opts)
-			b = trigger.MeasureBaseline(r, opts.Seed, opts.Scale, opts.BaselineRuns, opts.Deadline)
 		}
 		if scale <= 0 {
 			scale = opts.Scale
@@ -160,7 +161,7 @@ func FleetExecutors(cache *ArtifactCache, resolve func(name string) (cluster.Run
 			Runner:       r,
 			Analysis:     res.Analysis,
 			Matcher:      matcher,
-			Baseline:     b,
+			Baseline:     opts.baseline(r),
 			Seed:         opts.Seed,
 			Scale:        scale,
 			RandomTarget: opts.RandomTarget,
@@ -168,13 +169,7 @@ func FleetExecutors(cache *ArtifactCache, resolve func(name string) (cluster.Run
 			Partition:    opts.Partition,
 			MaxSteps:     opts.MaxSteps,
 		}
-		if !opts.NoSnapshots {
-			if cache != nil {
-				t.Snapshots = cache.SnapshotPlan(t)
-			} else {
-				t.Snapshots = t.BuildSnapshotPlan()
-			}
-		}
+		t.Snapshots = opts.snapshotPlan(t)
 		return t, nil
 	}
 }

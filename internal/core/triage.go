@@ -22,9 +22,10 @@ import (
 // schedule-dependent one flakes. The analysis artifacts and the
 // fault-free baseline are prepared once, up front — attempts share
 // them, like runs of an ordinary campaign. cache may be nil to
-// recompute the analysis instead of memoizing it.
+// recompute the analysis and the baseline instead of memoizing them.
 func NewConfirmExecutor(r cluster.Runner, cache *ArtifactCache, opts Options) triage.Execute {
 	opts.defaults()
+	opts.artifacts = cache
 	var res *Result
 	var matcher *logparse.Matcher
 	if cache != nil {
@@ -32,7 +33,7 @@ func NewConfirmExecutor(r cluster.Runner, cache *ArtifactCache, opts Options) tr
 	} else {
 		res, matcher = AnalysisPhase(r, opts)
 	}
-	b := trigger.MeasureBaseline(r, opts.Seed, opts.Scale, opts.BaselineRuns, opts.Deadline)
+	b := opts.baseline(r)
 	return func(rec triage.Record, attempt int) triage.Record {
 		inj, ok := crashpoint.ParseInjection(rec.Scenario)
 		if rec.Point == "" || !ok {

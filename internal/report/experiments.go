@@ -53,10 +53,11 @@ type Experiments struct {
 	// Summary.Bugs and every numbered table are unchanged.
 	Analyze bool
 
-	// Artifacts, when non-nil, memoizes the offline AnalysisPhase across
-	// pipelines (and across experiment sets sharing the cache), so the
-	// deterministic offline artifacts are computed once per system. The
-	// rendered tables are identical with and without the cache.
+	// Artifacts, when non-nil, memoizes the analysis, profile, baseline
+	// and snapshot plans across pipelines (and across experiment sets
+	// sharing the cache), so the crash, recovery and partition campaigns
+	// of one system pay them once and only their injection runs each.
+	// The rendered tables are identical with and without the cache.
 	Artifacts *core.ArtifactCache
 
 	// CheckpointDir, when non-empty, makes every campaign resumable:
@@ -137,9 +138,7 @@ func (x *Experiments) RunPipelines() {
 			Seed: x.Seed, Scale: x.Scale,
 			Analyze: x.Analyze,
 		}
-		res, matcher := x.analysisPhase(r, opts)
-		core.ProfilePhase(r, res, opts)
-		core.TestPhase(r, matcher, res, opts)
+		res, matcher := x.pipeline(r, opts)
 		return pipelineOut{res, matcher}
 	})
 	for i, r := range x.Systems {
@@ -148,12 +147,19 @@ func (x *Experiments) RunPipelines() {
 	}
 }
 
-// analysisPhase dispatches to the artifact cache when one is configured.
-func (x *Experiments) analysisPhase(r cluster.Runner, opts core.Options) (*core.Result, *logparse.Matcher) {
+// pipeline runs one system's full pipeline, through the artifact cache
+// when one is configured, and returns the result with the log matcher
+// the analysis used. The matcher is a function of the system's program
+// alone (logparse.MatcherFor), so it is looked up rather than threaded
+// out of the pipeline.
+func (x *Experiments) pipeline(r cluster.Runner, opts core.Options) (*core.Result, *logparse.Matcher) {
+	var res *core.Result
 	if x.Artifacts != nil {
-		return x.Artifacts.AnalysisPhase(r, opts)
+		res = x.Artifacts.Run(r, opts)
+	} else {
+		res = core.Run(r, opts)
 	}
-	return core.AnalysisPhase(r, opts)
+	return res, logparse.MatcherFor(r.Program())
 }
 
 // RunBaselines executes the random and IO-injection campaigns, fanning

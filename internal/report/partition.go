@@ -44,9 +44,7 @@ func (x *Experiments) RunPartition(po *trigger.PartitionOptions) {
 			Seed: x.Seed, Scale: x.Scale,
 			Partition: po,
 		}
-		res, matcher := x.analysisPhase(r, opts)
-		core.ProfilePhase(r, res, opts)
-		core.TestPhase(r, matcher, res, opts)
+		res, _ := x.pipeline(r, opts)
 		return res
 	})
 	for i, r := range systems {

@@ -43,9 +43,7 @@ func (x *Experiments) RunRecovery(rc *trigger.RecoveryOptions) {
 			Seed: x.Seed, Scale: x.Scale,
 			Recovery: rc,
 		}
-		res, matcher := x.analysisPhase(r, opts)
-		core.ProfilePhase(r, res, opts)
-		core.TestPhase(r, matcher, res, opts)
+		res, _ := x.pipeline(r, opts)
 		return res
 	})
 	for i, r := range systems {
