@@ -159,6 +159,10 @@ type Coordinator struct {
 	leaseID int64
 	workers map[string]*workerState
 
+	// told is closed, and replaced, each time a worker is told 410;
+	// AwaitWorkers waits on it.
+	told chan struct{}
+
 	done     chan struct{}
 	recorded bool
 
@@ -170,7 +174,7 @@ type Coordinator struct {
 // shards and restoring any checkpoints before the service starts.
 func New(cfg Config) (*Coordinator, error) {
 	cfg.defaults()
-	c := &Coordinator{cfg: cfg, done: make(chan struct{}), workers: map[string]*workerState{}}
+	c := &Coordinator{cfg: cfg, done: make(chan struct{}), told: make(chan struct{}), workers: map[string]*workerState{}}
 	c.sched = newScheduler(cfg.SeedIndex, cfg.Suppress)
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -344,28 +348,38 @@ func (c *Coordinator) touchLocked(name string, now time.Time) *workerState {
 	return ws
 }
 
-// AwaitWorkers blocks until every recently-active worker has polled a
-// lease after the drain and been told 410 — so workers exit cleanly
+// AwaitWorkers blocks until every recently-active worker has asked for
+// a lease after the drain and been told 410 — so workers exit cleanly
 // instead of finding a closed port — or grace elapses. A worker silent
 // for a full LeaseTTL is presumed dead and not waited for; call this
-// after Wait, before Close.
+// after Wait, before Close. It does not poll: it wakes when a worker is
+// told 410, when the next untold worker's LeaseTTL runs out, or at the
+// grace deadline.
 func (c *Coordinator) AwaitWorkers(grace time.Duration) {
 	deadline := time.Now().Add(grace)
 	for {
 		c.mu.Lock()
-		cutoff := time.Now().Add(-c.cfg.LeaseTTL)
-		waiting := false
+		told, now := c.told, time.Now()
+		var next time.Time // when the next untold worker is presumed dead
 		for _, ws := range c.workers {
-			if !ws.told && ws.lastSeen.After(cutoff) {
-				waiting = true
-				break
+			gone := ws.lastSeen.Add(c.cfg.LeaseTTL)
+			if !ws.told && gone.After(now) && (next.IsZero() || gone.Before(next)) {
+				next = gone
 			}
 		}
 		c.mu.Unlock()
-		if !waiting || !time.Now().Before(deadline) {
+		if next.IsZero() || !now.Before(deadline) {
 			return
 		}
-		time.Sleep(20 * time.Millisecond)
+		if deadline.Before(next) {
+			next = deadline
+		}
+		t := time.NewTimer(next.Sub(now))
+		select {
+		case <-told:
+		case <-t.C:
+		}
+		t.Stop()
 	}
 }
 
@@ -446,6 +460,9 @@ func (c *Coordinator) grantLease(req leaseRequest) (int, []byte) {
 	c.sweepLocked(now)
 	if c.drainedLocked() {
 		ws.told = true
+		// Wake AwaitWorkers: this may have been the last live worker.
+		close(c.told)
+		c.told = make(chan struct{})
 		return http.StatusGone, nil
 	}
 	sh := c.sched.pick(c.shards)

@@ -71,15 +71,17 @@ func planAll(t *testing.T, systems []cluster.Runner, optsOf func() core.Options)
 	return plans
 }
 
-// startWorkers launches n loopback workers and returns a wait func.
-func startWorkers(t *testing.T, addr string, n int, maxJobs int) func() {
+// startWorkers launches n loopback workers named prefix0, prefix1, ...
+// and returns a wait func. Distinct prefixes keep the workers of one
+// test apart in the coordinator's per-worker drain bookkeeping.
+func startWorkers(t *testing.T, addr, prefix string, n int, maxJobs int) func() {
 	t.Helper()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		w := &fleet.Worker{
 			Base:    "http://" + addr,
-			Name:    fmt.Sprintf("w%d", i),
+			Name:    fmt.Sprintf("%s%d", prefix, i),
 			Factory: core.FleetExecutors(core.SharedArtifacts, all.ByName),
 			Poll:    2 * time.Millisecond,
 			MaxJobs: maxJobs,
@@ -95,8 +97,8 @@ func startWorkers(t *testing.T, addr string, n int, maxJobs int) func() {
 }
 
 // runFleet drives a complete fleet campaign with n loopback workers and
-// returns the merged per-system reports and the triage store bytes.
-func runFleet(t *testing.T, plans []fleet.Plan, n int) (map[string][]trigger.Report, []byte, fleet.Stats) {
+// returns the per-plan results and the triage store bytes.
+func runFleet(t *testing.T, plans []fleet.Plan, n int) ([]fleet.PlanResult, []byte, fleet.Stats) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "triage.jsonl")
 	store, err := triage.OpenStore(path)
@@ -117,7 +119,7 @@ func runFleet(t *testing.T, plans []fleet.Plan, n int) (map[string][]trigger.Rep
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	wait := startWorkers(t, c.Addr(), n, 0)
+	wait := startWorkers(t, c.Addr(), "w", n, 0)
 	results := c.Wait()
 	wait()
 	stats := c.Stats()
@@ -131,15 +133,26 @@ func runFleet(t *testing.T, plans []fleet.Plan, n int) (map[string][]trigger.Rep
 	if err != nil {
 		t.Fatal(err)
 	}
+	return results, b, stats
+}
+
+// reportsOf renders one plan's merged results as report rows.
+func reportsOf(pr fleet.PlanResult) []trigger.Report {
+	reps := make([]trigger.Report, len(pr.Results))
+	for i, res := range pr.Results {
+		reps[i] = trigger.ResultReport(res)
+	}
+	return reps
+}
+
+// bySystem keys the per-plan report rows by system, for fleets that run
+// one plan per system.
+func bySystem(results []fleet.PlanResult) map[string][]trigger.Report {
 	reports := map[string][]trigger.Report{}
 	for _, pr := range results {
-		reps := make([]trigger.Report, len(pr.Results))
-		for i, res := range pr.Results {
-			reps[i] = trigger.ResultReport(res)
-		}
-		reports[pr.Spec.System] = reps
+		reports[pr.Spec.System] = reportsOf(pr)
 	}
-	return reports, b, stats
+	return reports
 }
 
 func compareReports(t *testing.T, label string, want, got map[string][]trigger.Report) {
@@ -180,7 +193,7 @@ func TestFleetByteIdenticalAllSystems(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
 			plans := planAll(t, systems, optsOf)
 			got, gotStore, stats := runFleet(t, plans, n)
-			compareReports(t, fmt.Sprintf("N=%d", n), want, got)
+			compareReports(t, fmt.Sprintf("N=%d", n), want, bySystem(got))
 			if string(wantStore) != string(gotStore) {
 				t.Errorf("N=%d: triage store differs from single-process (%d vs %d bytes)", n, len(wantStore), len(gotStore))
 			}
@@ -210,11 +223,59 @@ func TestFleetFaultFamilies(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want, wantStore := singleProcess(t, systems, tc.optsOf)
 			got, gotStore, _ := runFleet(t, planAll(t, systems, tc.optsOf), 2)
-			compareReports(t, tc.name, want, got)
+			compareReports(t, tc.name, want, bySystem(got))
 			if string(wantStore) != string(gotStore) {
 				t.Errorf("%s: triage store differs from single-process", tc.name)
 			}
 		})
+	}
+}
+
+// TestFleetSpecKeyCoversFaultParameters runs two recovery campaigns of
+// one (system, seed, scale) that differ only in RestartDelay through ONE
+// worker. The worker caches executors by Spec.Key(), so a key that
+// leaves the recovery parameters out would execute the second plan's
+// jobs on the first plan's executor; both plans and the triage store
+// must instead equal the in-process campaigns byte for byte.
+func TestFleetSpecKeyCoversFaultParameters(t *testing.T) {
+	r := mustRunner(t, "yarn")
+	optsOf := func(delay sim.Time) core.Options {
+		return core.Options{Seed: 11, Scale: 1, Recovery: &trigger.RecoveryOptions{RestartDelay: delay}}
+	}
+	delays := []sim.Time{500 * sim.Millisecond, 8 * sim.Second}
+
+	path := filepath.Join(t.TempDir(), "triage.jsonl")
+	store, err := triage.OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]trigger.Report
+	var plans []fleet.Plan
+	for _, d := range delays {
+		opts := optsOf(d)
+		opts.Config = campaign.Config{Workers: 1, Recorder: triage.NewRecorder(store)}
+		want = append(want, core.Run(r, opts).Reports)
+		plan, err := core.PlanFleet(r, core.SharedArtifacts, optsOf(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, plan)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantStore, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotStore, _ := runFleet(t, plans, 1)
+	for p, d := range delays {
+		compareReports(t, fmt.Sprintf("RestartDelay=%v", d),
+			map[string][]trigger.Report{r.Name(): want[p]},
+			map[string][]trigger.Report{r.Name(): reportsOf(got[p])})
+	}
+	if string(wantStore) != string(gotStore) {
+		t.Errorf("triage store differs from single-process (%d vs %d bytes)", len(wantStore), len(gotStore))
 	}
 }
 
@@ -273,7 +334,7 @@ func TestFleetWorkerKilledMidShard(t *testing.T) {
 	}
 
 	// Worker 1 executes exactly one job of its two-job shard, then dies.
-	startWorkers(t, c.Addr(), 1, 1)()
+	startWorkers(t, c.Addr(), "dead", 1, 1)()
 	st := c.Stats()
 	if st.Done != 1 {
 		t.Fatalf("after killed worker: Done = %d, want 1", st.Done)
@@ -285,7 +346,7 @@ func TestFleetWorkerKilledMidShard(t *testing.T) {
 	// The replacement must wait out the dead worker's lease, then finish
 	// everything — without re-executing the checkpointed job (the
 	// coordinator only leases the remaining set).
-	wait := startWorkers(t, c.Addr(), 1, 0)
+	wait := startWorkers(t, c.Addr(), "replacement", 1, 0)
 	results := c.Wait()
 	wait()
 	st = c.Stats()
@@ -310,15 +371,7 @@ func TestFleetWorkerKilledMidShard(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got := map[string][]trigger.Report{}
-	for _, pr := range results {
-		reps := make([]trigger.Report, len(pr.Results))
-		for i, res := range pr.Results {
-			reps[i] = trigger.ResultReport(res)
-		}
-		got[pr.Spec.System] = reps
-	}
-	compareReports(t, "killed worker", want, got)
+	compareReports(t, "killed worker", want, bySystem(results))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +405,7 @@ func TestFleetCoordinatorRestart(t *testing.T) {
 	if err := c1.Start(); err != nil {
 		t.Fatal(err)
 	}
-	startWorkers(t, c1.Addr(), 1, 2)()
+	startWorkers(t, c1.Addr(), "first", 1, 2)()
 	done := c1.Stats().Done
 	if done != 2 {
 		t.Fatalf("first incarnation: Done = %d, want 2", done)
@@ -382,7 +435,7 @@ func TestFleetCoordinatorRestart(t *testing.T) {
 	if err := c2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	wait := startWorkers(t, c2.Addr(), 2, 0)
+	wait := startWorkers(t, c2.Addr(), "second", 2, 0)
 	results := c2.Wait()
 	wait()
 	if err := c2.Close(); err != nil {
@@ -392,15 +445,7 @@ func TestFleetCoordinatorRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := map[string][]trigger.Report{}
-	for _, pr := range results {
-		reps := make([]trigger.Report, len(pr.Results))
-		for i, res := range pr.Results {
-			reps[i] = trigger.ResultReport(res)
-		}
-		got[pr.Spec.System] = reps
-	}
-	compareReports(t, "coordinator restart", want, got)
+	compareReports(t, "coordinator restart", want, bySystem(results))
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -411,17 +456,19 @@ func TestFleetCoordinatorRestart(t *testing.T) {
 }
 
 // TestFleetAwaitWorkers pins the drain grace: after the fleet drains,
-// AwaitWorkers returns quickly once every live worker has polled into
-// the 410 signal, and does not wait on a worker that died mid-campaign
-// (its lastSeen ages past the lease TTL).
+// AwaitWorkers returns once every live worker has been told 410, and
+// does not wait on a worker that died mid-campaign (its lastSeen ages
+// past the lease TTL) — the dead worker is never told, so only the age
+// check lets AwaitWorkers return before its grace.
 func TestFleetAwaitWorkers(t *testing.T) {
 	systems := []cluster.Runner{mustRunner(t, "toysys")}
 	optsOf := func() core.Options { return core.Options{Seed: 11, Scale: 1} }
+	const ttl = 50 * time.Millisecond
 	c, err := fleet.New(fleet.Config{
 		Addr:      "127.0.0.1:0",
 		Plans:     planAll(t, systems, optsOf),
 		ShardSize: 2,
-		LeaseTTL:  50 * time.Millisecond,
+		LeaseTTL:  ttl,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -433,15 +480,17 @@ func TestFleetAwaitWorkers(t *testing.T) {
 	// One worker dies after a single job; a second drains the rest and
 	// exits on the 410 (startWorkers fails the test on any worker error,
 	// so a closed-port exit would be caught).
-	startWorkers(t, c.Addr(), 1, 1)()
-	wait := startWorkers(t, c.Addr(), 1, 0)
+	startWorkers(t, c.Addr(), "dead", 1, 1)()
+	wait := startWorkers(t, c.Addr(), "live", 1, 0)
 	c.Wait()
-	wait()
+	// The bound sits far above scheduler noise and far below the grace,
+	// which is what waiting on the dead worker would cost.
 	start := time.Now()
 	c.AwaitWorkers(10 * time.Second)
-	if took := time.Since(start); took > 5*time.Second {
-		t.Errorf("AwaitWorkers blocked %v on a dead worker", took)
+	if took := time.Since(start); took > ttl+2*time.Second {
+		t.Errorf("AwaitWorkers blocked %v, want about LeaseTTL (%v): it waited on the dead worker", took, ttl)
 	}
+	wait()
 }
 
 func countCheckpointLines(t *testing.T, dir string) int {

@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"fmt"
+	"encoding/json"
 
 	"repro/internal/sim"
 )
@@ -51,9 +51,16 @@ type Spec struct {
 	Partition *PartitionSpec `json:"partition,omitempty"`
 }
 
-// Key identifies the spec for executor caching on workers.
+// Key identifies the spec for executor caching on workers. It is the
+// spec's canonical JSON encoding, so every field — the recovery and
+// partition parameters, and any field added later — tells two specs
+// apart: two plans differing only in a fault parameter must never share
+// a cached executor.
 func (s Spec) Key() string {
-	return fmt.Sprintf("%s/%s@%d/%d", s.System, s.Campaign, s.Seed, s.Scale)
+	// Cannot fail: Spec holds only strings, integers, booleans and
+	// pointers to structs of those.
+	b, _ := json.Marshal(s)
+	return string(b)
 }
 
 // Plan is the planning half of a campaign: the enumerated jobs of one

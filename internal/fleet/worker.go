@@ -81,7 +81,11 @@ func (w *Worker) Run() error {
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
 	}
-	execs := map[string]Executor{}
+	type execKey struct {
+		spec  string
+		scale int
+	}
+	execs := map[execKey]Executor{}
 	executed, transportErrs := 0, 0
 	for {
 		rep, status, err := w.lease(client, name)
@@ -102,18 +106,19 @@ func (w *Worker) Run() error {
 			time.Sleep(poll)
 			continue
 		}
-		w.logf("%s: leased shard %d (%d jobs, %s)", name, rep.Shard, len(rep.Jobs), rep.Spec.Key())
+		spec := rep.Spec.Key()
+		w.logf("%s: leased shard %d (%d jobs, %s)", name, rep.Shard, len(rep.Jobs), spec)
 		for _, ij := range rep.Jobs {
 			if w.MaxJobs > 0 && executed >= w.MaxJobs {
 				w.logf("%s: job budget spent, stopping mid-shard", name)
 				return nil
 			}
-			key := fmt.Sprintf("%s/%d", rep.Spec.Key(), ij.Job.Scale)
+			key := execKey{spec, ij.Job.Scale}
 			exec := execs[key]
 			if exec == nil {
 				exec, err = w.Factory(rep.Spec, ij.Job.Scale)
 				if err != nil {
-					return fmt.Errorf("fleet: executor for %s: %w", key, err)
+					return fmt.Errorf("fleet: executor for %s at scale %d: %w", spec, ij.Job.Scale, err)
 				}
 				execs[key] = exec
 			}
