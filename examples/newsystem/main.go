@@ -15,7 +15,7 @@
 //     Node.Handle) and implement cluster.Cloneable, so injection
 //     campaigns fork your runs from deep-copied engine clones instead
 //     of replaying each prefix from t=0. Systems that skip this still
-//     work — the campaign transparently falls back to lean replay.
+//     work — every injection run then takes the full run from t=0.
 //
 //   - implement cluster.Healer, so partition campaigns (-partition) can
 //     re-admit nodes after a cut heals: Healed(isolated) should replay

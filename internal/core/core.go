@@ -59,13 +59,6 @@ type Options struct {
 	// MaxSteps bounds each injection run's event count (0: the sim
 	// default); exhausted runs are reported as harness errors.
 	MaxSteps uint64
-	// NoSnapshots disables snapshot-forked injection runs: every campaign
-	// run replays the full observation pipeline from t=0 instead of
-	// forking from the recorded reference pass. Snapshots are on by
-	// default — they are byte-identical by construction (fingerprint
-	// fence, see trigger.SnapshotPlan) and several times faster; this
-	// switch exists for the differential oracle and for debugging.
-	NoSnapshots bool
 	// Analyze runs the failure-mode analytics (internal/failmode) over
 	// the test campaign after it finishes: the runs are clustered into
 	// modes and scored against the learned clean-run profile, the
@@ -194,15 +187,11 @@ func ProfilePhase(r cluster.Runner, res *Result, opts Options) {
 	emitPhase(opts.Sink, r.Name(), "profile", res.Timing.Profile, 0)
 }
 
-// snapshotPlan returns the plan TestPhase installs on a Tester: nil when
-// snapshots are disabled, the memoized plan when the phase runs under an
-// ArtifactCache, a freshly built one otherwise. The Tester must already
-// carry its measured baseline — plans are keyed on the run deadline,
-// which derives from it.
+// snapshotPlan returns the plan TestPhase installs on a Tester: the
+// memoized plan when the phase runs under an ArtifactCache, a freshly
+// built one otherwise. The Tester must already carry its measured
+// baseline — plans are keyed on the run deadline, which derives from it.
 func (o Options) snapshotPlan(t *trigger.Tester) *trigger.SnapshotPlan {
-	if o.NoSnapshots {
-		return nil
-	}
 	if o.artifacts != nil {
 		return o.artifacts.SnapshotPlan(t)
 	}

@@ -43,7 +43,6 @@ func SpecOf(system string, opts Options) fleet.Spec {
 		Deadline:     opts.Deadline,
 		MaxSteps:     opts.MaxSteps,
 		RandomTarget: opts.RandomTarget,
-		NoSnapshots:  opts.NoSnapshots,
 	}
 	if rc := opts.Recovery; rc != nil {
 		spec.Recovery = &fleet.RecoverySpec{
@@ -75,7 +74,6 @@ func OptionsOf(spec fleet.Spec) Options {
 		Deadline:     spec.Deadline,
 		MaxSteps:     spec.MaxSteps,
 		RandomTarget: spec.RandomTarget,
-		NoSnapshots:  spec.NoSnapshots,
 	}
 	if rs := spec.Recovery; rs != nil {
 		kind := sim.FaultCrash

@@ -8,12 +8,12 @@ import (
 	"repro/internal/systems/toysys"
 )
 
-// Snapshot-forked campaigns are the pipeline default; NoSnapshots is the
-// escape hatch. The two must be indistinguishable in every result field
-// the pipeline reports.
+// Snapshot-forked campaigns are the pipeline's only path; the full run
+// from t=0 is the reference. The two must be indistinguishable in every
+// result field the pipeline reports.
 func TestPipelineSnapshotsMatchFullReplay(t *testing.T) {
 	r := &toysys.Runner{}
-	legacy := core.Run(r, core.Options{Seed: 7, NoSnapshots: true})
+	legacy := core.RunFullReplay(t, r, core.Options{Seed: 7})
 	snap := core.Run(r, core.Options{Seed: 7})
 
 	if !reflect.DeepEqual(legacy.Baseline, snap.Baseline) {
@@ -60,13 +60,6 @@ func TestArtifactCacheMemoizesSnapshotPlans(t *testing.T) {
 	if !reflect.DeepEqual(plain.Summary, second.Summary) {
 		t.Errorf("cached-plan summary diverged from uncached:\nuncached %+v\ncached   %+v",
 			plain.Summary, second.Summary)
-	}
-
-	if disabled := cache.Run(&toysys.Runner{}, core.Options{Seed: 7, NoSnapshots: true}); !reflect.DeepEqual(disabled.Summary, plain.Summary) {
-		t.Error("NoSnapshots under a cache diverged")
-	}
-	if got := cache.Plans(); got != plans {
-		t.Errorf("NoSnapshots run touched the plan cache: %d -> %d", plans, got)
 	}
 
 	cache.Reset()

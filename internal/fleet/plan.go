@@ -44,8 +44,6 @@ type Spec struct {
 	MaxSteps uint64 `json:"maxSteps,omitempty"`
 	// RandomTarget replaces the stash query with a random alive node.
 	RandomTarget bool `json:"randomTarget,omitempty"`
-	// NoSnapshots disables snapshot-forked injection runs.
-	NoSnapshots bool `json:"noSnapshots,omitempty"`
 
 	Recovery  *RecoverySpec  `json:"recovery,omitempty"`
 	Partition *PartitionSpec `json:"partition,omitempty"`

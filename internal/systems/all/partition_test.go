@@ -122,8 +122,7 @@ func TestRandomPartitionSchedulesAllSystems(t *testing.T) {
 // TestPartitionCampaignFindsBugsEverySystem is the family's acceptance
 // bar: a partition campaign at scale 2 finds at least one partition bug
 // (split-brain, stale-read, or never-heals) in every one of the seven
-// systems, and the reports are byte-identical across worker counts and
-// across the fork-vs-full execution paths.
+// systems, and the reports are byte-identical across worker counts.
 func TestPartitionCampaignFindsBugsEverySystem(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full seven-system partition campaign")
@@ -155,16 +154,15 @@ func TestPartitionCampaignFindsBugsEverySystem(t *testing.T) {
 				t.Fatalf("no partition bug found; outcomes: %v", outs)
 			}
 
-			// Determinism across worker counts, with the fork paths
-			// disabled (full replays must agree with the forked campaign).
+			// Determinism across worker counts. Forked runs against full
+			// runs is trigger's TestPartitionCampaignsMatchLegacyEverySystem.
 			par := opts
 			par.Config = campaign.Config{Workers: 8}
-			par.NoSnapshots = true
 			res2, matcher2 := core.AnalysisPhase(r, par)
 			core.ProfilePhase(r, res2, par)
 			core.TestPhase(r, matcher2, res2, par)
 			if !reflect.DeepEqual(res.Reports, res2.Reports) {
-				t.Fatalf("partition campaign diverges across workers/fork paths:\n%+v\nvs\n%+v",
+				t.Fatalf("partition campaign diverges across worker counts:\n%+v\nvs\n%+v",
 					res.Reports, res2.Reports)
 			}
 		})

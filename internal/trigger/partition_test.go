@@ -72,7 +72,7 @@ func TestPartitionCampaignFindsSplitBrain(t *testing.T) {
 }
 
 // TestPartitionCampaignDeterministic pins byte-identical reports across
-// worker counts and across the fork paths (snapshot plan vs full runs).
+// worker counts and across the run paths (clone forks vs full runs).
 func TestPartitionCampaignDeterministic(t *testing.T) {
 	points := toyPoints()
 	seq := partitionTester(1, &trigger.PartitionOptions{}, nil)
@@ -90,13 +90,6 @@ func TestPartitionCampaignDeterministic(t *testing.T) {
 	}
 	if got := fork.Campaign(points); !reflect.DeepEqual(got, want) {
 		t.Fatalf("fork-path divergence:\n got %+v\nwant %+v", got, want)
-	}
-
-	lean := partitionTester(2, &trigger.PartitionOptions{}, nil)
-	lean.NoClone = true
-	lean.Snapshots = lean.BuildSnapshotPlan()
-	if got := lean.Campaign(points); !reflect.DeepEqual(got, want) {
-		t.Fatalf("lean-replay divergence:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -13,30 +13,23 @@
 //   - a sim.Fingerprint — the replay fence that proves the fork reached
 //     the same engine state before any fault is injected.
 //
-// Forks come in two flavours, tried in order:
+// Systems that implement cluster.Cloneable schedule every mid-run timer
+// through the keyed API, so their engines hold no closures and
+// Engine.Clone can deep-copy the whole run in O(state). A capture pass —
+// one lean replay per plan — steps to a bounded ladder of event-count
+// boundaries (one rung just before each crash point's hit, thinned to
+// maxClones; boundary 0 is the freshly started run) and clones a
+// template at each. An injection run then clones the nearest rung at or
+// below its point and lean-replays only the short gap up to the hit, so
+// its cost is O(gap), independent of how much timeline precedes the
+// rung.
 //
-// Clone forks (the fast path): systems that implement cluster.Cloneable
-// schedule every mid-run timer through the keyed API, so their engines
-// hold no closures and Engine.Clone can deep-copy the whole run in
-// O(state). A capture pass — one extra lean replay per plan — steps to a
-// bounded ladder of event-count boundaries (one rung just before each
-// crash point's hit, thinned to Tester.MaxClones) and clones a template
-// at each. An injection run then clones the nearest rung at or below its
-// point and lean-replays only the short gap up to the hit, so its cost
-// is O(gap), independent of how much timeline precedes the rung.
-//
-// Lean-replay forks (the fallback): a fresh deterministic run with the
-// observation layers elided — logs to a dslog.Discard root, Lean probe,
-// target resolution against the frozen view — fast-forwarded over the
-// whole prefix by dispatch ordinal. O(prefix), but requires nothing of
-// the system.
-//
-// Both flavours verify the recorded fingerprint at the hit before
-// injecting, so "the clone is the prefix" and "replay the prefix" are
-// checked invariants, not assumptions: on any mismatch the fork is
-// discarded and the point falls back (clone → lean replay → legacy full
-// run), counted in crashtuner_clone_fallbacks_total and
-// crashtuner_snapshot_invalidations_total.
+// Each clone fork verifies the recorded fingerprint at the hit before
+// injecting, so "the clone is the prefix" is a checked invariant, not an
+// assumption: on a mismatch the fork is discarded, counted in
+// crashtuner_clone_fallbacks_total, and the point takes the full run.
+// So does every point no rung serves: a plan that does not match, a
+// system that is not Cloneable, or a point that fires inside Start.
 //
 // Points the reference pass never saw firing cannot fire in any
 // injection run either (the pre-injection prefix is deterministic), so
@@ -58,13 +51,11 @@ import (
 
 // Process-wide snapshot instruments on the default registry.
 var (
-	snapshotForks   = obs.Default.Counter("crashtuner_snapshot_forks_total")
-	snapshotSynth   = obs.Default.Counter("crashtuner_snapshot_synthesized_total")
-	snapshotInvalid = obs.Default.Counter("crashtuner_snapshot_invalidations_total")
+	snapshotSynth = obs.Default.Counter("crashtuner_snapshot_synthesized_total")
 	// cloneForks counts injection runs served by resuming an Engine.Clone
 	// of a captured rung; cloneFallbacks counts runs that wanted the clone
-	// path but fell back to lean replay (fence mismatch, or a system whose
-	// CloneRun produced an uncopyable engine state).
+	// path but fell back to the full run (fence mismatch, or a system
+	// whose CloneRun produced an uncopyable engine state).
 	cloneForks     = obs.Default.Counter("crashtuner_clone_forks_total")
 	cloneFallbacks = obs.Default.Counter("crashtuner_clone_fallbacks_total")
 )
@@ -114,8 +105,8 @@ type SnapshotPlan struct {
 
 	// rungs is the clone ladder: engine+model templates captured at
 	// ascending event-count boundaries by the capture pass. Empty when the
-	// system is not Cloneable or cloning was disabled. Templates are
-	// immutable once built; forks re-clone them concurrently.
+	// system is not Cloneable. Templates are immutable once built; forks
+	// re-clone them concurrently.
 	rungs []cloneRung
 
 	// Reference-run results, for synthesizing NotHit reports.
@@ -139,13 +130,13 @@ type cloneRung struct {
 func (p *SnapshotPlan) Points() int { return len(p.points) }
 
 // Rungs returns how many clone templates the capture pass retained; zero
-// means every fork uses lean replay.
+// means every hit point takes the full run.
 func (p *SnapshotPlan) Rungs() int { return len(p.rungs) }
 
 // rungFor returns the highest rung at or below the point's hit — the
 // fork resumes there and lean-replays the remaining gap. ok=false means
-// no rung precedes the hit (or none were captured) and the fork must
-// lean-replay from t=0.
+// no rung precedes the hit (the point fires inside Start, or no rungs
+// were captured) and the point takes the full run.
 func (p *SnapshotPlan) rungFor(ps pointSnapshot) (cloneRung, bool) {
 	if ps.fp.Handled == 0 {
 		return cloneRung{}, false
@@ -239,31 +230,22 @@ func (t *Tester) BuildSnapshotPlan() *SnapshotPlan {
 	return p
 }
 
-// maxClones returns the rung-ladder bound (default 16).
-func (t *Tester) maxClones() int {
-	if t.MaxClones <= 0 {
-		return 16
-	}
-	return t.MaxClones
-}
+// maxClones bounds the rung ladder: more rungs mean shorter replay gaps
+// per fork but more retained engine copies.
+const maxClones = 16
 
 // captureClones runs the capture pass: one more lean replay of the
 // fault-free prefix, paused at a ladder of event-count boundaries — one
 // just before each point's first hit, thinned to maxClones rungs — and
 // cloned at each pause. Systems that do not implement cluster.Cloneable
 // (or whose engine refuses to clone, e.g. a closure timer slipped in)
-// simply get no rungs and keep lean-replay forks.
+// simply get no rungs, and their hit points take the full run.
 func (t *Tester) captureClones(p *SnapshotPlan) {
-	if t.NoClone || len(p.points) == 0 {
-		return
-	}
 	seen := make(map[uint64]bool, len(p.points))
 	bounds := make([]uint64, 0, len(p.points))
 	for _, ps := range p.points {
-		if ps.fp.Handled <= 1 {
-			// Boundary 0 would need a clone before any event dispatches,
-			// but MaxSteps=0 means "default", not "pause immediately" — and
-			// a zero-event prefix is free to lean-replay anyway.
+		if ps.fp.Handled == 0 {
+			// The point fires inside Start, before any rung can exist.
 			continue
 		}
 		b := ps.fp.Handled - 1
@@ -276,14 +258,14 @@ func (t *Tester) captureClones(p *SnapshotPlan) {
 		return
 	}
 	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	if max := t.maxClones(); len(bounds) > max {
-		// Thin to max rungs, evenly spread over the sorted boundaries and
-		// always keeping the first and last; points between rungs replay
-		// the gap from the rung below.
+	if len(bounds) > maxClones {
+		// Thin to maxClones rungs, evenly spread over the sorted boundaries
+		// and always keeping the first and last; points between rungs
+		// replay the gap from the rung below.
 		thin := bounds[:0]
 		prev := -1
-		for i := 0; i < max; i++ {
-			k := i * (len(bounds) - 1) / (max - 1)
+		for i := 0; i < maxClones; i++ {
+			k := i * (len(bounds) - 1) / (maxClones - 1)
 			if k != prev {
 				thin = append(thin, bounds[k])
 				prev = k
@@ -309,14 +291,18 @@ func (t *Tester) captureClones(p *SnapshotPlan) {
 	})
 	sysRun.Start()
 	for _, b := range bounds {
-		e.MaxSteps = b
-		if res := e.Run(p.deadline); !res.Exhausted {
-			// The run ended before this boundary — every remaining rung
-			// lies beyond the reference run's end too. (Points were
-			// captured mid-dispatch, so their pre-hit boundaries are always
-			// reachable; this covers deadline truncation and defensive
-			// drift.)
-			break
+		// Boundary 0 is the freshly started run: clone it as is, since
+		// MaxSteps = 0 means "default", not "pause immediately".
+		if b > 0 {
+			e.MaxSteps = b
+			if res := e.Run(p.deadline); !res.Exhausted {
+				// The run ended before this boundary — every remaining
+				// rung lies beyond the reference run's end too. (Points
+				// were captured mid-dispatch, so their pre-hit boundaries
+				// are always reachable; this covers deadline truncation
+				// and defensive drift.)
+				break
+			}
 		}
 		tmpl, ok := cluster.Clone(sysRun, cfg)
 		if !ok {
@@ -326,23 +312,21 @@ func (t *Tester) captureClones(p *SnapshotPlan) {
 	}
 }
 
-// runPoint dispatches one campaign job: through the snapshot plan when
-// one is installed and matches the Tester's parameters — clone fork
-// first, lean replay second — and as a full legacy run otherwise (or
-// when both fork flavours trip their fingerprint fences).
+// runPoint dispatches one campaign job. Through a snapshot plan that
+// matches the Tester's parameters, a point the reference pass never saw
+// firing is synthesized and a point with a rung at or below its hit is a
+// clone fork. Everything else is the full run: no plan, a mismatched
+// plan, no rung for the point, or a tripped fingerprint fence.
 func (t *Tester) runPoint(run int, d probe.DynPoint) Report {
 	if p := t.Snapshots; p != nil && p.compatible(t) {
 		ps, hit := p.points[d]
 		if !hit {
 			return t.synthesizeNotHit(run, p, d)
 		}
-		if rung, ok := p.rungFor(ps); ok && !t.NoClone {
+		if rung, ok := p.rungFor(ps); ok {
 			if rep, ok := t.forkClone(run, d, ps, rung); ok {
 				return rep
 			}
-		}
-		if rep, ok := t.forkPoint(run, d, ps); ok {
-			return rep
 		}
 	}
 	return t.testPoint(run, d)
@@ -379,10 +363,11 @@ func (t *Tester) synthesizeNotHit(run int, p *SnapshotPlan, d probe.DynPoint) Re
 // forkClone runs one injection by resuming an Engine.Clone of the rung:
 // the system's deep-copied model state picks up mid-flight and only the
 // gap between the rung and the recorded hit is replayed (SkipAccesses
-// counts from the rung's access cursor, not from zero). The same
-// fingerprint fence as forkPoint guards the hit. ok=false means the
-// clone could not be taken or the fence tripped; the caller falls back
-// to a lean replay from t=0.
+// counts from the rung's access cursor, not from zero). At the hit the
+// fingerprint fence must match the reference capture; target resolution
+// then reads the frozen view, and everything from the injection on is
+// the full-run path. ok=false means the clone could not be taken or the
+// fence tripped; the caller falls back to the full run.
 func (t *Tester) forkClone(run int, d probe.DynPoint, ps pointSnapshot, rung cloneRung) (Report, bool) {
 	phaseStart := time.Now()
 	pb := probe.New()
@@ -393,42 +378,6 @@ func (t *Tester) forkClone(run int, d probe.DynPoint, ps pointSnapshot, rung clo
 		cloneFallbacks.Inc()
 		return Report{}, false
 	}
-	rep, ok := t.armAndDrive(run, d, ps, sysRun, pb, phaseStart, true)
-	if !ok {
-		cloneFallbacks.Inc()
-		return Report{}, false
-	}
-	cloneForks.Inc()
-	return rep, true
-}
-
-// forkPoint runs one injection forked from the snapshot: a fresh
-// deterministic run with observation elided — discard logs, no stash,
-// lean probe — fast-forwarded to the recorded hit by dispatch ordinal.
-// At the hit the fingerprint fence must match the reference capture;
-// target resolution then reads the frozen view, and everything from the
-// injection on is the legacy path. ok=false means the fence tripped and
-// the caller must fall back to a full run.
-func (t *Tester) forkPoint(run int, d probe.DynPoint, ps pointSnapshot) (Report, bool) {
-	phaseStart := time.Now()
-	pb := probe.New()
-	pb.Lean = true
-	pb.SkipAccesses = ps.ordinal
-	sysRun := t.Runner.NewRun(cluster.Config{Seed: t.Seed, Scale: t.Scale, Probe: pb, Logs: dslog.Discard()})
-	rep, ok := t.armAndDrive(run, d, ps, sysRun, pb, phaseStart, false)
-	if !ok {
-		snapshotInvalid.Inc()
-		return Report{}, false
-	}
-	snapshotForks.Inc()
-	return rep, true
-}
-
-// armAndDrive is the shared back half of both fork flavours: arm the
-// single-injection hook on the fast-forwarded run, drive it (resuming
-// mid-flight for clones, from Start for lean replays), verify the fence
-// and classify. ok=false reports a tripped fence.
-func (t *Tester) armAndDrive(run int, d probe.DynPoint, ps pointSnapshot, sysRun cluster.Run, pb *probe.Probe, setupStart time.Time, resume bool) (Report, bool) {
 	e := sysRun.Engine()
 	e.MaxSteps = t.MaxSteps
 
@@ -444,7 +393,7 @@ func (t *Tester) armAndDrive(run int, d probe.DynPoint, ps pointSnapshot, sysRun
 		pb.OnAccess = nil
 		if a.Point != d.Point || a.Scenario != d.Scenario || e.Fingerprint() != ps.fp {
 			// The fork diverged from the reference pass. Abandon it; the
-			// point falls back one level.
+			// point takes the full run.
 			aligned = false
 			e.Stop()
 			return
@@ -457,16 +406,12 @@ func (t *Tester) armAndDrive(run int, d probe.DynPoint, ps pointSnapshot, sysRun
 		rep.Target = target
 		t.inject(sysRun, &rep, d, target)
 	}
-	t.emitPhase(run, "setup", time.Since(setupStart), 0)
+	t.emitPhase(run, "setup", time.Since(phaseStart), 0)
 
-	phaseStart := time.Now()
-	var res sim.RunResult
-	if resume {
-		res = cluster.DriveResume(sysRun, t.RunDeadline())
-	} else {
-		res = cluster.Drive(sysRun, t.RunDeadline())
-	}
+	phaseStart = time.Now()
+	res := cluster.DriveResume(sysRun, t.RunDeadline())
 	if !aligned {
+		cloneFallbacks.Inc()
 		return Report{}, false
 	}
 	t.emitPhase(run, "drive", time.Since(phaseStart), res.End)
@@ -478,5 +423,6 @@ func (t *Tester) armAndDrive(run int, d probe.DynPoint, ps pointSnapshot, sysRun
 	rep.NewExceptions = t.newUnhandled(e)
 	rep.Outcome = t.classify(fired, resolvedMiss, sysRun, res, rep.NewExceptions, t.timeoutFactor())
 	t.emitPhase(run, "oracle", time.Since(phaseStart), 0)
+	cloneForks.Inc()
 	return rep, true
 }

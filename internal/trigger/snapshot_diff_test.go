@@ -126,23 +126,22 @@ func TestSnapshotCampaignsMatchLegacyEverySystem(t *testing.T) {
 	})
 }
 
-// TestRunPathTierCensus counts which fork tier serves each run of the
-// crash, recovery and partition campaigns on all seven systems, at seed
-// 11 and scale 1 over one snapshot plan per system. No fence may trip,
-// and every run must be a clone fork, a lean replay or a synthesized
-// NotHit report, so none reaches the legacy full run. Lean replay serves
-// exactly the hit points whose first hit precedes every clone rung: two
-// per campaign on zookeeper, none on the other systems.
+// TestRunPathTierCensus counts which path serves each run of the crash,
+// recovery and partition campaigns on all seven systems, at seeds
+// {11, 1009} and scales {1, 4, 32}, over one snapshot plan per (system,
+// seed, scale). Every plan that saw a point fire must hold a clone rung,
+// no fence may trip, and every run must be a clone fork or a synthesized
+// NotHit report, so none reaches the full run. The rung at boundary 0
+// is what serves points that fire in the run's first dispatched event
+// (two per campaign on zookeeper).
 func TestRunPathTierCensus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaigns on all systems")
 	}
 	counters := [...]string{
 		"crashtuner_clone_forks_total",
-		"crashtuner_snapshot_forks_total",
 		"crashtuner_snapshot_synthesized_total",
 		"crashtuner_clone_fallbacks_total",
-		"crashtuner_snapshot_invalidations_total",
 	}
 	read := func() (v [len(counters)]uint64) {
 		for i, name := range counters {
@@ -150,7 +149,6 @@ func TestRunPathTierCensus(t *testing.T) {
 		}
 		return v
 	}
-	wantLean := map[string]int{"zookeeper": 2}
 	families := []struct {
 		name string
 		set  func(*trigger.Tester)
@@ -162,35 +160,33 @@ func TestRunPathTierCensus(t *testing.T) {
 	for _, r := range append(all.Runners(), all.Extensions()...) {
 		r := r
 		t.Run(r.Name(), func(t *testing.T) {
-			tester, points := snapshotFixture(t, r, 11, 1)
-			tester.Snapshots = tester.BuildSnapshotPlan()
-			lean := tester.Snapshots.LeanPoints(points)
-			if lean != wantLean[r.Name()] {
-				t.Errorf("%d hit points precede every clone rung, want %d", lean, wantLean[r.Name()])
-			}
-			for _, fam := range families {
-				ft := *tester
-				fam.set(&ft)
-				before := read()
-				ft.Campaign(points)
-				after := read()
-				var d [len(counters)]uint64
-				for i := range d {
-					d[i] = after[i] - before[i]
-				}
-				clone, leanForks, synth, fallbacks, invalid := d[0], d[1], d[2], d[3], d[4]
-				t.Logf("%s: %d points = %d clone + %d lean + %d synthesized", fam.name, len(points), clone, leanForks, synth)
-				if fallbacks != 0 || invalid != 0 {
-					t.Errorf("%s: %d clone fallbacks and %d snapshot invalidations, want none", fam.name, fallbacks, invalid)
-				}
-				if got := clone + leanForks + synth; got != uint64(len(points)) {
-					t.Errorf("%s: %d clone + %d lean + %d synthesized runs for %d points; the rest took the legacy full run",
-						fam.name, clone, leanForks, synth, len(points))
-				}
-				if leanForks != uint64(lean) {
-					t.Errorf("%s: %d lean replays, want the %d points no rung precedes", fam.name, leanForks, lean)
+			var clones, rungs uint64
+			for _, seed := range []int64{11, 1009} {
+				for _, scale := range []int{1, 4, 32} {
+					tester, points := snapshotFixture(t, r, seed, scale)
+					plan := tester.BuildSnapshotPlan()
+					if plan.Points() > 0 && plan.Rungs() == 0 {
+						t.Errorf("seed %d scale %d: %d hit points but no clone rung", seed, scale, plan.Points())
+					}
+					rungs += uint64(plan.Rungs())
+					tester.Snapshots = plan
+					for _, fam := range families {
+						ft := *tester
+						fam.set(&ft)
+						before := read()
+						ft.Campaign(points)
+						after := read()
+						clone, synth, fallbacks := after[0]-before[0], after[1]-before[1], after[2]-before[2]
+						clones += clone
+						full := uint64(len(points)) - clone - synth
+						if fallbacks != 0 || full != 0 {
+							t.Errorf("seed %d scale %d %s: %d points = %d clone + %d synthesized + %d full runs, %d clone fallbacks; want clone forks and synthesized only",
+								seed, scale, fam.name, len(points), clone, synth, full, fallbacks)
+						}
+					}
 				}
 			}
+			t.Logf("%d clone forks over 6 plans holding %d rungs", clones, rungs)
 		})
 	}
 }
@@ -218,55 +214,6 @@ func TestPartitionCampaignsMatchLegacyEverySystem(t *testing.T) {
 				t.Fatal("reference pass captured no points")
 			}
 			diffCampaigns(t, tester, plan, points)
-		})
-	}
-}
-
-// TestCloneForksMatchLeanReplayEverySystem is the clone-vs-replay
-// equivalence oracle: on all seven systems, forking every crash point by
-// Engine.Clone (resume a deep-copied run mid-flight) and by lean replay
-// (re-drive the prefix from t=0) must produce byte-identical reports and
-// triage signatures. Every system migrated to the keyed-timer API, so
-// every plan must actually capture clone rungs — a system silently
-// falling back to replay-only here is a migration regression.
-func TestCloneForksMatchLeanReplayEverySystem(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full differential campaigns on all systems")
-	}
-	scale := oracleScale(t)
-	for _, r := range append(all.Runners(), all.Extensions()...) {
-		r := r
-		t.Run(r.Name(), func(t *testing.T) {
-			tester, points := snapshotFixture(t, r, 11, scale)
-			plan := tester.BuildSnapshotPlan()
-			if plan.Points() > 0 && plan.Rungs() == 0 {
-				t.Fatalf("%s captured no clone rungs: Cloneable regression", r.Name())
-			}
-			tester.Snapshots = plan
-			clone := tester.Campaign(points)
-			tester.NoClone = true // same plan, but forks skip the rungs
-			lean := tester.Campaign(points)
-			tester.NoClone = false
-			tester.Snapshots = nil
-
-			if len(clone) != len(lean) {
-				t.Fatalf("%d clone reports vs %d lean-replay reports", len(clone), len(lean))
-			}
-			sys := r.Name()
-			for i := range clone {
-				if !reflect.DeepEqual(clone[i], lean[i]) {
-					t.Fatalf("report %d (%s) diverged:\nclone %+v\nlean  %+v",
-						i, points[i].Key(), clone[i], lean[i])
-				}
-				ci := triage.FromRunRecord(trigger.RunRecordOf(sys, "test", i, tester.Seed, tester.Scale, clone[i]))
-				li := triage.FromRunRecord(trigger.RunRecordOf(sys, "test", i, tester.Seed, tester.Scale, lean[i]))
-				if !reflect.DeepEqual(ci, li) {
-					t.Fatalf("triage record %d diverged:\nclone %+v\nlean  %+v", i, ci, li)
-				}
-			}
-			if cs, ls := trigger.Summarize(clone), trigger.Summarize(lean); !reflect.DeepEqual(cs, ls) {
-				t.Fatalf("summaries diverged:\nclone %+v\nlean  %+v", cs, ls)
-			}
 		})
 	}
 }

@@ -55,33 +55,6 @@ func TestSnapshotForkMatchesLegacyRun(t *testing.T) {
 	}
 }
 
-// TestSnapshotNoCloneForksLeanReplay pins the lean-replay tier: with
-// NoClone the plan captures no rungs and every fork replays its prefix
-// from t=0, still byte-identical to the legacy full run.
-func TestSnapshotNoCloneForksLeanReplay(t *testing.T) {
-	tester := toyTester(t, &toysys.Runner{})
-	tester.NoClone = true
-	plan := tester.BuildSnapshotPlan()
-	if plan.Rungs() != 0 {
-		t.Fatalf("NoClone plan captured %d rungs, want none", plan.Rungs())
-	}
-	d := planPoint(t, plan)
-	want := tester.TestPoint(d)
-
-	forks, clones := snapshotForks.Value(), cloneForks.Value()
-	tester.Snapshots = plan
-	got := tester.TestPoint(d)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("lean fork diverged:\nlegacy %+v\nfork   %+v", want, got)
-	}
-	if v := snapshotForks.Value(); v != forks+1 {
-		t.Errorf("snapshot_forks_total moved %d→%d, want one lean fork", forks, v)
-	}
-	if v := cloneForks.Value(); v != clones {
-		t.Errorf("clone_forks_total moved %d→%d under NoClone", clones, v)
-	}
-}
-
 func TestSnapshotSynthesizesNotHit(t *testing.T) {
 	tester := toyTester(t, &toysys.Runner{})
 	plan := tester.BuildSnapshotPlan()
@@ -110,8 +83,8 @@ func TestSnapshotSynthesizesNotHit(t *testing.T) {
 }
 
 // TestSnapshotFenceFallsBackOnDivergence corrupts a recorded fingerprint
-// so the fork trips its fence mid-replay; the point must transparently
-// re-run on the legacy path and still report identically.
+// so the clone fork trips its fence mid-replay; the point must
+// transparently re-run as the full run and still report identically.
 func TestSnapshotFenceFallsBackOnDivergence(t *testing.T) {
 	tester := toyTester(t, &toysys.Runner{})
 	plan := tester.BuildSnapshotPlan()
@@ -122,8 +95,7 @@ func TestSnapshotFenceFallsBackOnDivergence(t *testing.T) {
 	ps.fp.NodeSum++ // any field will do: the fence compares the whole struct
 	plan.points[d] = ps
 
-	invalid, forks := snapshotInvalid.Value(), snapshotForks.Value()
-	fallbacks := cloneFallbacks.Value()
+	fallbacks, clones := cloneFallbacks.Value(), cloneForks.Value()
 	tester.Snapshots = plan
 	got := tester.TestPoint(d)
 	if !reflect.DeepEqual(got, want) {
@@ -132,11 +104,8 @@ func TestSnapshotFenceFallsBackOnDivergence(t *testing.T) {
 	if v := cloneFallbacks.Value(); v != fallbacks+1 {
 		t.Errorf("clone_fallbacks_total moved %d→%d, want one clone fallback", fallbacks, v)
 	}
-	if v := snapshotInvalid.Value(); v != invalid+1 {
-		t.Errorf("snapshot_invalidations_total moved %d→%d, want one invalidation", invalid, v)
-	}
-	if v := snapshotForks.Value(); v != forks {
-		t.Errorf("snapshot_forks_total moved %d→%d on an abandoned fork", forks, v)
+	if v := cloneForks.Value(); v != clones {
+		t.Errorf("clone_forks_total moved %d→%d on an abandoned fork", clones, v)
 	}
 }
 
@@ -152,13 +121,13 @@ func TestSnapshotPlanParameterMismatchIgnored(t *testing.T) {
 	legacy.Snapshots = nil
 	want := legacy.TestPoint(d)
 
-	forks, synth := snapshotForks.Value(), snapshotSynth.Value()
+	clones, synth := cloneForks.Value(), snapshotSynth.Value()
 	tester.Snapshots = plan
 	got := tester.TestPoint(d)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("mismatched-plan report diverged:\nlegacy %+v\ngot    %+v", want, got)
 	}
-	if snapshotForks.Value() != forks || snapshotSynth.Value() != synth {
+	if cloneForks.Value() != clones || snapshotSynth.Value() != synth {
 		t.Error("an incompatible plan was consulted")
 	}
 }
@@ -174,11 +143,10 @@ func (r nonCloneableRunner) NewRun(cfg cluster.Config) cluster.Run {
 	return nonCloneableRun{r.Runner.NewRun(cfg)}
 }
 
-// TestSnapshotNonCloneableDegradesToLeanReplay: a system that does not
-// implement cluster.Cloneable gets a rung-less plan and every fork takes
-// the lean-replay tier — same reports, snapshot_forks_total moving
-// instead of clone_forks_total.
-func TestSnapshotNonCloneableDegradesToLeanReplay(t *testing.T) {
+// TestSnapshotNonCloneableDegradesToFullRun: a system that does not
+// implement cluster.Cloneable gets a rung-less plan and every hit point
+// takes the full run — same reports, clone_forks_total standing still.
+func TestSnapshotNonCloneableDegradesToFullRun(t *testing.T) {
 	base := &toysys.Runner{}
 	tester := toyTester(t, base)
 	tester.Runner = nonCloneableRunner{base}
@@ -189,14 +157,11 @@ func TestSnapshotNonCloneableDegradesToLeanReplay(t *testing.T) {
 	d := planPoint(t, plan)
 	want := tester.TestPoint(d)
 
-	forks, clones := snapshotForks.Value(), cloneForks.Value()
+	clones := cloneForks.Value()
 	tester.Snapshots = plan
 	got := tester.TestPoint(d)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("non-Cloneable fork diverged:\nlegacy %+v\nfork   %+v", want, got)
-	}
-	if v := snapshotForks.Value(); v != forks+1 {
-		t.Errorf("snapshot_forks_total moved %d→%d, want one lean fork", forks, v)
+		t.Errorf("non-Cloneable run diverged:\nlegacy %+v\ngot    %+v", want, got)
 	}
 	if v := cloneForks.Value(); v != clones {
 		t.Errorf("clone_forks_total moved %d→%d on a non-Cloneable system", clones, v)

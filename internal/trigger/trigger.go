@@ -210,14 +210,6 @@ type Tester struct {
 	// stay byte-identical — a fingerprint fence falls back to the full
 	// path on any divergence. See snapshot.go.
 	Snapshots *SnapshotPlan
-	// MaxClones bounds the clone ladder a snapshot plan captures for
-	// Cloneable systems (default 16): more rungs mean shorter replay gaps
-	// per fork but more retained engine copies. See snapshot.go.
-	MaxClones int
-	// NoClone disables clone forking entirely — the plan captures no
-	// rungs and every fork lean-replays its prefix. For ablations and the
-	// campaign benchmark's baseline leg.
-	NoClone bool
 }
 
 // matcher returns the configured Matcher, or the one the runner's program
@@ -366,7 +358,7 @@ func (t *Tester) testPoint(run int, d probe.DynPoint) Report {
 // synchronous shutdown of the paper's campaigns, or, in partition mode,
 // a network cut isolating the target (optionally followed by the
 // recovery-phase kill/restart INSIDE the cut, and by a scheduled heal).
-// Shared by the full-run path (testPoint), the fork path (armAndDrive)
+// Shared by the full-run path (testPoint), the fork path (forkClone)
 // and the guided path, so the fault semantics cannot drift between
 // them.
 func (t *Tester) inject(sysRun cluster.Run, rep *Report, d probe.DynPoint, target sim.NodeID) {
