@@ -2,15 +2,15 @@
 // append-only JSONL files the campaigns' recorders write one record per
 // failing run into. It clusters records into distinct bugs by canonical
 // signature, diffs store snapshots for newly surfaced bugs, and
-// re-executes cluster representatives to separate deterministic
-// reproductions from flaky ones.
+// replays cluster representatives to confirm that each still
+// reproduces.
 //
 // Usage:
 //
 //	cttriage list -store triage.jsonl                 # ranked cluster table
 //	cttriage show -store triage.jsonl -cluster bug-xxxxxxxx
 //	cttriage ingest -store triage.jsonl other.jsonl...  # merge store files
-//	cttriage confirm -store triage.jsonl [-runs 5]    # re-execute representatives
+//	cttriage confirm -store triage.jsonl              # replay representatives
 //	cttriage diff -store triage.jsonl -against old.jsonl [-fail-on-new]
 //
 // A suppression file (-suppress) lists cluster ids or signature keys to
@@ -66,8 +66,8 @@ func usage() {
   list    -store f [-suppress f]                render the ranked cluster table
   show    -store f -cluster bug-xxxxxxxx        one cluster in detail
   ingest  -store f [files...]                   merge store files into -store
-  confirm -store f [-cluster id] [-runs N] [-workers N] [-seed N] [-scale N]
-          [-trace f] [-suppress f]              re-execute representatives
+  confirm -store f [-cluster id] [-seed N] [-scale N] [-trace f]
+          [-suppress f]                         replay representatives once
   diff    -store f -against f [-suppress f] [-fail-on-new]  new clusters only`)
 }
 
@@ -241,12 +241,10 @@ func cmdConfirm(args []string) error {
 	fs := flag.NewFlagSet("confirm", flag.ExitOnError)
 	store := fs.String("store", "triage.jsonl", "triage store file")
 	cluster := fs.String("cluster", "", "confirm only this cluster id (default: every cluster)")
-	runs := fs.Int("runs", triage.DefaultConfirmRuns, "re-execution attempts per cluster")
 	seed := fs.Int64("seed", 11, "seed for the executor's analysis phase and baseline")
 	scale := fs.Int("scale", 1, "workload scale fallback for records without one")
 	suppress := fs.String("suppress", "", "suppression file; suppressed clusters are not confirmed")
 	var fl cliflags.Flags
-	fl.RegisterWorkers(fs)
 	fl.RegisterObs(fs)
 	fs.Parse(args)
 
@@ -289,17 +287,12 @@ func cmdConfirm(args []string) error {
 			exec = core.NewConfirmExecutor(r, core.SharedArtifacts, core.Options{Seed: *seed, Scale: *scale})
 			executors[rep.System] = exec
 		}
-		conf := triage.Confirm(c, triage.ConfirmOptions{
-			Runs:    *runs,
-			Workers: fl.Workers,
-			Sink:    sink,
-			Execute: exec,
-		})
+		conf := triage.Confirm(c, sink, exec)
 		if err := s.AppendConfirmation(conf); err != nil {
 			return err
 		}
 		confirmed++
-		fmt.Printf("%s  %s (%d/%d attempts reproduced)\n", c.ID(), conf.Label, conf.Reproduced, conf.Runs)
+		fmt.Printf("%s  %s\n", c.ID(), conf.Label)
 	}
 	if err := s.Close(); err != nil {
 		return err

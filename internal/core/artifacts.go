@@ -41,7 +41,7 @@ import (
 type ArtifactCache struct {
 	analyses  memo[artifactKey, analysis]
 	profiles  memo[profileKey, profile]
-	baselines memo[baselineKey, trigger.Baseline]
+	baselines memo[artifactKey, trigger.Baseline]
 	plans     memo[planKey, *trigger.SnapshotPlan]
 }
 
@@ -86,8 +86,8 @@ func (m *memo[K, V]) reset() {
 }
 
 // artifactKey captures the AnalysisPhase inputs: the system plus the
-// Options fields the phase depends on (Workers, Sink, BaselineRuns
-// etc. only affect later phases).
+// Options fields the phase depends on (Workers, Sink etc. only affect
+// later phases). The fault-free baseline reads the same inputs.
 type artifactKey struct {
 	system   string
 	seed     int64
@@ -115,12 +115,6 @@ type profileKey struct {
 type profile struct {
 	set  *profiler.Set
 	wall time.Duration // the build's Timing.Profile
-}
-
-// baselineKey captures the trigger.MeasureBaseline inputs.
-type baselineKey struct {
-	artifactKey
-	runs int
 }
 
 // planKey captures everything a snapshot plan's reference pass depends
@@ -191,15 +185,15 @@ func (c *ArtifactCache) SnapshotPlan(t *trigger.Tester) *trigger.SnapshotPlan {
 }
 
 // Baseline memoizes trigger.MeasureBaseline per (system, seed, scale,
-// deadline, runs): the fault-free runs read no fault parameter, so every
+// deadline): the fault-free run reads no fault parameter, so every
 // campaign kind over one configuration — the test phases of a cached
 // pipeline, the executors a fleet worker builds, a confirmation
 // executor — shares one measurement. The returned value aliases the
 // cached exception census, which is read-only downstream.
 func (c *ArtifactCache) Baseline(r cluster.Runner, opts Options) trigger.Baseline {
 	opts.defaults()
-	return c.baselines.get(baselineKey{analysisKey(r, opts), opts.BaselineRuns}, func() trigger.Baseline {
-		return trigger.MeasureBaseline(r, opts.Seed, opts.Scale, opts.BaselineRuns, opts.Deadline)
+	return c.baselines.get(analysisKey(r, opts), func() trigger.Baseline {
+		return trigger.MeasureBaseline(r, opts.Seed, opts.Scale, 1, opts.Deadline)
 	})
 }
 

@@ -224,7 +224,7 @@ func TestFleetExecutorsShareOneBaseline(t *testing.T) {
 	if census(plain) == census(other) {
 		t.Error("two seeds share one baseline")
 	}
-	if want := trigger.MeasureBaseline(&toysys.Runner{}, 7, 1, 3, sim.Hour); !reflect.DeepEqual(plain, want) {
+	if want := trigger.MeasureBaseline(&toysys.Runner{}, 7, 1, 1, sim.Hour); !reflect.DeepEqual(plain, want) {
 		t.Errorf("memoized baseline %+v differs from a direct measurement %+v", plain, want)
 	}
 }

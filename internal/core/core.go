@@ -33,9 +33,6 @@ type Options struct {
 	// Scale is the workload size for testing runs (profiling doubles its
 	// own copy starting from this value).
 	Scale int
-	// BaselineRuns is the number of fault-free runs used to census
-	// exception signatures (default 3).
-	BaselineRuns int
 	// Deadline bounds individual runs in virtual time (default 1h).
 	Deadline sim.Time
 	// MaxProfileIterations caps the profiler's doubling loop.
@@ -93,9 +90,6 @@ func emitPhase(sink obs.Sink, system, name string, wall time.Duration, simT sim.
 func (o *Options) defaults() {
 	if o.Scale < 1 {
 		o.Scale = 1
-	}
-	if o.BaselineRuns <= 0 {
-		o.BaselineRuns = 3
 	}
 	if o.Deadline <= 0 {
 		o.Deadline = sim.Hour
@@ -200,12 +194,14 @@ func (o Options) snapshotPlan(t *trigger.Tester) *trigger.SnapshotPlan {
 
 // baseline returns the fault-free baseline TestPhase judges runs
 // against: the memoized one when the phase runs under an ArtifactCache,
-// a fresh measurement otherwise.
+// a fresh measurement otherwise. One fault-free run is the whole
+// census: the seed reaches only the injector, so further runs at other
+// seeds would replay the same execution.
 func (o Options) baseline(r cluster.Runner) trigger.Baseline {
 	if o.artifacts != nil {
 		return o.artifacts.Baseline(r, o)
 	}
-	return trigger.MeasureBaseline(r, o.Seed, o.Scale, o.BaselineRuns, o.Deadline)
+	return trigger.MeasureBaseline(r, o.Seed, o.Scale, 1, o.Deadline)
 }
 
 // TestPhase measures the baseline and exercises every dynamic crash

@@ -39,7 +39,6 @@ func SpecOf(system string, opts Options) fleet.Spec {
 		Campaign:     campaignKind(opts),
 		Seed:         opts.Seed,
 		Scale:        opts.Scale,
-		BaselineRuns: opts.BaselineRuns,
 		Deadline:     opts.Deadline,
 		MaxSteps:     opts.MaxSteps,
 		RandomTarget: opts.RandomTarget,
@@ -70,7 +69,6 @@ func OptionsOf(spec fleet.Spec) Options {
 	opts := Options{
 		Seed:         spec.Seed,
 		Scale:        spec.Scale,
-		BaselineRuns: spec.BaselineRuns,
 		Deadline:     spec.Deadline,
 		MaxSteps:     spec.MaxSteps,
 		RandomTarget: spec.RandomTarget,

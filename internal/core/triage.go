@@ -15,14 +15,15 @@ import (
 	"repro/internal/trigger"
 )
 
-// NewConfirmExecutor builds the re-execution closure for one system:
-// each attempt rebuilds the record's dynamic crash point and tests it
-// through the trigger under a perturbed seed (rec.Seed + attempt), so a
-// deterministic bug reproduces on every attempt while a
-// schedule-dependent one flakes. The analysis artifacts and the
-// fault-free baseline are prepared once, up front — attempts share
-// them, like runs of an ordinary campaign. cache may be nil to
-// recompute the analysis and the baseline instead of memoizing them.
+// NewConfirmExecutor builds the replay closure for one system: each
+// call rebuilds the record's dynamic crash point and tests it through
+// the trigger at the record's own seed and scale, under opts' fault
+// parameters. Execution is deterministic, so the replay reproduces the
+// record exactly. The analysis artifacts and the fault-free baseline
+// are prepared once, up front, and shared by every replay, like the
+// runs of an ordinary campaign; with a cache they are memoized. Each
+// replay is one full run: a snapshot plan would cost two fault-free
+// passes per (seed, scale) before its first fork.
 func NewConfirmExecutor(r cluster.Runner, cache *ArtifactCache, opts Options) triage.Execute {
 	opts.defaults()
 	opts.artifacts = cache
@@ -34,14 +35,14 @@ func NewConfirmExecutor(r cluster.Runner, cache *ArtifactCache, opts Options) tr
 		res, matcher = AnalysisPhase(r, opts)
 	}
 	b := opts.baseline(r)
-	return func(rec triage.Record, attempt int) triage.Record {
+	return func(rec triage.Record) triage.Record {
 		inj, ok := crashpoint.ParseInjection(rec.Scenario)
 		if rec.Point == "" || !ok {
 			// Not re-executable (a baseline-only record): report the
-			// attempt as a harness error, which matches no cluster.
+			// replay as a harness error, which matches no cluster.
 			out := rec
 			out.Campaign = "triage"
-			out.Run = attempt
+			out.Run = 0
 			out.Outcome = trigger.HarnessError.String()
 			out.Sig = out.Signature().Key()
 			return out
@@ -64,15 +65,16 @@ func NewConfirmExecutor(r cluster.Runner, cache *ArtifactCache, opts Options) tr
 		// the confirmation campaign driving this closure, not to the
 		// nested single runs, so the Tester gets a zero Config.
 		t := &trigger.Tester{
-			Runner:    r,
-			Analysis:  res.Analysis,
-			Matcher:   matcher,
-			Baseline:  b,
-			Seed:      rec.Seed + int64(attempt),
-			Scale:     scale,
-			Recovery:  opts.Recovery,
-			Partition: po,
-			MaxSteps:  opts.MaxSteps,
+			Runner:       r,
+			Analysis:     res.Analysis,
+			Matcher:      matcher,
+			Baseline:     b,
+			Seed:         rec.Seed,
+			Scale:        scale,
+			RandomTarget: opts.RandomTarget,
+			Recovery:     opts.Recovery,
+			Partition:    po,
+			MaxSteps:     opts.MaxSteps,
 		}
 		dyn := probe.DynPoint{
 			Point:    ir.PointID(rec.Point),
@@ -85,6 +87,6 @@ func NewConfirmExecutor(r cluster.Runner, cache *ArtifactCache, opts Options) tr
 		} else {
 			rep = t.TestPoint(dyn)
 		}
-		return triage.FromRunRecord(trigger.RunRecordOf(r.Name(), "triage", attempt, t.Seed, scale, rep))
+		return triage.FromRunRecord(trigger.RunRecordOf(r.Name(), "triage", 0, t.Seed, scale, rep))
 	}
 }

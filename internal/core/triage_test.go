@@ -79,10 +79,9 @@ func (s *eventSink) Emit(ev obs.Event) {
 	s.mu.Unlock()
 }
 
-// The confirmation pass re-executes the deterministic TOY-1 job
-// failure through the real pipeline executor; it must reproduce on
-// every perturbed seed and come back CONFIRMED, with its runs traced
-// under the "triage" campaign.
+// The confirmation pass replays the deterministic TOY-1 job failure
+// through the real pipeline executor; it must reproduce and come back
+// CONFIRMED, with its replay traced under the "triage" campaign.
 func TestConfirmExecutorConfirmsDeterministicBug(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	runCampaignInto(t, path)
@@ -103,17 +102,12 @@ func TestConfirmExecutorConfirmsDeterministicBug(t *testing.T) {
 	}
 
 	sink := &eventSink{}
-	conf := triage.Confirm(target, triage.ConfirmOptions{
-		Runs:    3,
-		Workers: 2,
-		Sink:    sink,
-		Execute: NewConfirmExecutor(&toysys.Runner{}, nil, Options{Seed: 7}),
-	})
+	conf := triage.Confirm(target, sink, NewConfirmExecutor(&toysys.Runner{}, nil, Options{Seed: 7}))
 	if conf.Label != triage.Confirmed {
 		t.Errorf("label = %s, want %s (reproduced %d/%d)", conf.Label, triage.Confirmed, conf.Reproduced, conf.Runs)
 	}
-	if conf.Reproduced != conf.Runs {
-		t.Errorf("deterministic bug reproduced %d/%d", conf.Reproduced, conf.Runs)
+	if conf.Runs != 1 || conf.Reproduced != 1 {
+		t.Errorf("deterministic bug reproduced %d/%d, want one exact replay", conf.Reproduced, conf.Runs)
 	}
 	if conf.Sig != target.Sig.Key() {
 		t.Errorf("confirmation bound to %q, want %q", conf.Sig, target.Sig.Key())
@@ -166,11 +160,7 @@ func TestConfirmExecutorReExecutesPartitionRecord(t *testing.T) {
 		t.Fatal("partition campaign recorded no split-brain cluster")
 	}
 
-	conf := triage.Confirm(target, triage.ConfirmOptions{
-		Runs:    3,
-		Workers: 2,
-		Execute: NewConfirmExecutor(&toysys.Runner{}, nil, Options{Seed: 7}),
-	})
+	conf := triage.Confirm(target, nil, NewConfirmExecutor(&toysys.Runner{}, nil, Options{Seed: 7}))
 	if conf.Label != triage.Confirmed {
 		t.Errorf("label = %s, want %s (reproduced %d/%d)", conf.Label, triage.Confirmed, conf.Reproduced, conf.Runs)
 	}
@@ -195,15 +185,15 @@ func TestConfirmExecutorUsesArtifactCache(t *testing.T) {
 }
 
 // A record without a crash point (a baseline-only observation) cannot
-// be re-executed; the executor reports the attempt as a harness error,
+// be re-executed; the executor reports the replay as a harness error,
 // which never matches a cluster.
 func TestConfirmExecutorRejectsUnexecutableRecord(t *testing.T) {
 	exec := NewConfirmExecutor(&toysys.Runner{}, nil, Options{Seed: 7})
-	out := exec(triage.Record{System: "toysys", Campaign: "random", Seed: 7, Outcome: "hang"}, 2)
+	out := exec(triage.Record{System: "toysys", Campaign: "random", Run: 2, Seed: 7, Outcome: "hang"})
 	if out.Outcome != trigger.HarnessError.String() {
 		t.Errorf("outcome = %q, want harness-error", out.Outcome)
 	}
-	if out.Campaign != "triage" || out.Run != 2 {
+	if out.Campaign != "triage" || out.Run != 0 {
 		t.Errorf("record not rescoped to the confirmation campaign: %+v", out)
 	}
 }

@@ -36,8 +36,6 @@ type Spec struct {
 	Campaign string `json:"campaign"`
 	Seed     int64  `json:"seed"`
 	Scale    int    `json:"scale"`
-	// BaselineRuns is the fault-free census size (default 3).
-	BaselineRuns int `json:"baselineRuns,omitempty"`
 	// Deadline bounds individual runs in virtual time (default 1h).
 	Deadline sim.Time `json:"deadline,omitempty"`
 	// MaxSteps bounds each run's event count (0: the sim default).

@@ -17,7 +17,7 @@ func PairSummary(r cluster.Runner, seed int64, scale, maxPairs int) string {
 	opts := core.Options{Seed: seed, Scale: scale}
 	res, matcher := core.AnalysisPhase(r, opts)
 	core.ProfilePhase(r, res, opts)
-	res.Baseline = trigger.MeasureBaseline(r, seed, scale, 3, 0)
+	res.Baseline = trigger.MeasureBaseline(r, seed, scale, 1, 0)
 	tester := &trigger.Tester{
 		Runner:   r,
 		Analysis: res.Analysis,

@@ -9,98 +9,62 @@ import (
 type Label string
 
 const (
-	// Confirmed: the bug reproduced in a majority of re-executions.
+	// Confirmed: the replay reproduced the cluster.
 	Confirmed Label = "CONFIRMED"
-	// Flaky: it reproduced, but in fewer than half of the attempts.
-	Flaky Label = "FLAKY"
-	// Unreproduced: no re-execution hit the same signature.
+	// Unreproduced: the replay did not hit the cluster's signature.
+	// Execution is deterministic, so for a record the executor can
+	// rebuild this is a determinism violation, not bad luck. Records
+	// do not carry their fault parameters, so an executor built
+	// without the recording campaign's recovery or RandomTarget
+	// options (as cttriage confirm's is) cannot rebuild those records
+	// and labels them UNREPRODUCED without any violation.
 	Unreproduced Label = "UNREPRODUCED"
 )
 
 // Confirmation is the persisted verdict of one confirmation pass.
+// Stores written before confirmation became a single replay also hold
+// FLAKY verdicts over several attempts; they load and render unchanged.
 type Confirmation struct {
 	Sig        string `json:"sig"` // signature key of the confirmed cluster
 	Label      Label  `json:"label"`
-	Runs       int    `json:"runs"`       // re-execution attempts
-	Reproduced int    `json:"reproduced"` // attempts matching the cluster
+	Runs       int    `json:"runs"`       // replays run (1 for new verdicts)
+	Reproduced int    `json:"reproduced"` // replays matching the cluster
 }
 
-// Execute re-runs a cluster's representative record once. The attempt
-// index perturbs the seed (the simulation is deterministic, so
-// re-running the identical seed would trivially reproduce even a
-// schedule-dependent bug); the returned record describes what the
-// re-execution observed, whether it failed or not. The core package
+// Execute replays a cluster's representative record and returns what
+// the replay observed, whether it failed or not. The core package
 // provides the real implementation on top of the trigger; tests inject
 // synthetic ones.
-type Execute func(rec Record, attempt int) Record
+type Execute func(rec Record) Record
 
-// ConfirmOptions configures a confirmation pass.
-type ConfirmOptions struct {
-	// Runs is the number of re-execution attempts; defaults to
-	// DefaultConfirmRuns.
-	Runs int
-	// Workers bounds the attempt parallelism (campaign engine semantics).
-	Workers int
-	// Sink observes the attempts as a campaign under Scope{System,
-	// Campaign: "triage"} — confirmation spans appear in the obs trace
-	// like any other campaign's.
-	Sink obs.Sink
-	// Execute performs one attempt. Required.
-	Execute Execute
-}
-
-// DefaultConfirmRuns is the attempt count when ConfirmOptions.Runs is
-// unset: enough for a majority vote that separates deterministic bugs
-// from coin-flip flakes.
-const DefaultConfirmRuns = 5
-
-// Confirm re-executes the cluster's representative crash point N times
-// through the campaign engine and labels the cluster:
-//
-//	reproduced == 0            -> UNREPRODUCED
-//	reproduced >= ceil(N/2)    -> CONFIRMED
-//	otherwise                  -> FLAKY
-//
-// An attempt counts as reproduced when its resulting record matches the
-// cluster (same signature key, or a near-duplicate under the
-// stack-prefix fallback).
-func Confirm(c *Cluster, opts ConfirmOptions) Confirmation {
-	n := opts.Runs
-	if n <= 0 {
-		n = DefaultConfirmRuns
-	}
+// Confirm replays the cluster's representative crash point once and
+// labels the cluster CONFIRMED when the replay matches it (same
+// signature key, or a near-duplicate under the stack-prefix fallback),
+// UNREPRODUCED otherwise. The seed reaches only the injector, so one
+// exact replay says everything further replays would. The replay runs
+// as a one-job campaign, so sink sees it under Scope{System, Campaign:
+// "triage"} like any other campaign's runs.
+func Confirm(c *Cluster, sink obs.Sink, exec Execute) Confirmation {
 	rep := c.Representative()
-	bugs := 0
-	results := campaign.Run(n, campaign.Options[Record]{
-		Workers: opts.Workers,
-		Sink:    opts.Sink,
-		Scope:   obs.Scope{System: rep.System, Campaign: "triage"},
+	results := campaign.Run(1, campaign.Options[Record]{
+		Sink:  sink,
+		Scope: obs.Scope{System: rep.System, Campaign: "triage"},
 		Annotate: func(ev *obs.Event, i int, r Record) {
 			if c.Matches(r) {
-				bugs++ // Annotate runs under the completion lock
+				ev.Bugs = 1
 			}
-			ev.Bugs = bugs
 			ev.Crash = rep.Point
 			ev.Fault = r.Fault
 			ev.Target = r.Target
 			ev.Outcome = r.Outcome
 			ev.Sim = r.Duration
 		},
-	}, func(i int) Record {
-		return opts.Execute(rep, i)
+	}, func(int) Record {
+		return exec(rep)
 	})
-	reproduced := 0
-	for _, r := range results {
-		if c.Matches(r) {
-			reproduced++
-		}
+	conf := Confirmation{Sig: c.Sig.Key(), Label: Unreproduced, Runs: 1}
+	if c.Matches(results[0]) {
+		conf.Label, conf.Reproduced = Confirmed, 1
 	}
-	label := Flaky
-	switch {
-	case reproduced == 0:
-		label = Unreproduced
-	case 2*reproduced >= n:
-		label = Confirmed
-	}
-	return Confirmation{Sig: c.Sig.Key(), Label: label, Runs: n, Reproduced: reproduced}
+	return conf
 }

@@ -1,6 +1,8 @@
 package triage
 
 import (
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -33,15 +35,13 @@ func confirmFixture(t *testing.T) *Cluster {
 }
 
 // reproducing returns an Execute that reproduces the representative's
-// signature when hit(attempt) is true and an innocuous passing record
-// otherwise.
-func reproducing(hit func(attempt int) bool) Execute {
-	return func(rec Record, attempt int) Record {
+// signature when hit is true and an innocuous passing record otherwise.
+func reproducing(hit bool) Execute {
+	return func(rec Record) Record {
 		out := rec
 		out.Campaign = "triage"
-		out.Run = attempt
-		out.Seed = rec.Seed + int64(attempt)
-		if !hit(attempt) {
+		out.Run = 0
+		if !hit {
 			out.Outcome = "ok"
 			out.Exceptions = nil
 		}
@@ -54,20 +54,18 @@ func TestConfirmLabels(t *testing.T) {
 	c := confirmFixture(t)
 	cases := []struct {
 		name string
-		hit  func(int) bool
+		hit  bool
 		want Label
 		repr int
 	}{
-		{"deterministic", func(int) bool { return true }, Confirmed, 5},
-		{"majority", func(a int) bool { return a != 0 }, Confirmed, 4},
-		{"flaky", func(a int) bool { return a == 0 }, Flaky, 1},
-		{"never", func(int) bool { return false }, Unreproduced, 0},
+		{"deterministic", true, Confirmed, 1},
+		{"never", false, Unreproduced, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			conf := Confirm(c, ConfirmOptions{Runs: 5, Execute: reproducing(tc.hit)})
-			if conf.Label != tc.want || conf.Reproduced != tc.repr || conf.Runs != 5 {
-				t.Fatalf("Confirm = %+v, want label %s with %d/5 reproduced", conf, tc.want, tc.repr)
+			conf := Confirm(c, nil, reproducing(tc.hit))
+			if conf.Label != tc.want || conf.Reproduced != tc.repr || conf.Runs != 1 {
+				t.Fatalf("Confirm = %+v, want label %s with %d/1 reproduced", conf, tc.want, tc.repr)
 			}
 			if conf.Sig != c.Sig.Key() {
 				t.Fatalf("confirmation bound to %q, want cluster signature %q", conf.Sig, c.Sig.Key())
@@ -76,29 +74,29 @@ func TestConfirmLabels(t *testing.T) {
 	}
 }
 
-// TestConfirmNearMatchCounts: an attempt whose deep stack differs but
+// TestConfirmNearMatchCounts: a replay whose deep stack differs but
 // shares the bounded prefix still counts as a reproduction.
 func TestConfirmNearMatchCounts(t *testing.T) {
 	c := confirmFixture(t)
-	exec := func(rec Record, attempt int) Record {
+	exec := func(rec Record) Record {
 		out := rec
 		out.Stack = "toy.Master.commitPending<toy.Master.onTaskDone<other.tail"
 		out.Sig = out.Signature().Key()
 		return out
 	}
-	conf := Confirm(c, ConfirmOptions{Runs: 3, Execute: exec})
-	if conf.Label != Confirmed || conf.Reproduced != 3 {
-		t.Fatalf("near-match attempts not counted: %+v", conf)
+	conf := Confirm(c, nil, exec)
+	if conf.Label != Confirmed || conf.Reproduced != 1 {
+		t.Fatalf("near-match replay not counted: %+v", conf)
 	}
 }
 
-// TestConfirmEmitsTriageCampaign: the pass runs as a campaign under
-// Campaign "triage", visible to any attached sink (and so to traces).
+// TestConfirmEmitsTriageCampaign: the replay runs as a one-job campaign
+// under Campaign "triage", visible to any attached sink (and so to
+// traces).
 func TestConfirmEmitsTriageCampaign(t *testing.T) {
 	c := confirmFixture(t)
 	sink := &collectSink{}
-	Confirm(c, ConfirmOptions{Runs: 4, Workers: 2, Sink: sink,
-		Execute: reproducing(func(int) bool { return true })})
+	Confirm(c, sink, reproducing(true))
 	starts, runs, ends := 0, 0, 0
 	for _, ev := range sink.evs {
 		if ev.Campaign != "triage" || ev.System != "toysys" {
@@ -114,21 +112,60 @@ func TestConfirmEmitsTriageCampaign(t *testing.T) {
 			}
 		case obs.CampaignEnd:
 			ends++
-			if ev.Bugs != 4 {
-				t.Fatalf("CampaignEnd bugs = %d, want 4 reproductions", ev.Bugs)
+			if ev.Bugs != 1 {
+				t.Fatalf("CampaignEnd bugs = %d, want 1 reproduction", ev.Bugs)
 			}
 		}
 	}
-	if starts != 1 || runs != 4 || ends != 1 {
-		t.Fatalf("campaign lifecycle = %d/%d/%d (start/run/end), want 1/4/1", starts, runs, ends)
+	if starts != 1 || runs != 1 || ends != 1 {
+		t.Fatalf("campaign lifecycle = %d/%d/%d (start/run/end), want 1/1/1", starts, runs, ends)
 	}
 }
 
-// TestConfirmDefaultRuns: unset Runs falls back to DefaultConfirmRuns.
-func TestConfirmDefaultRuns(t *testing.T) {
-	c := confirmFixture(t)
-	conf := Confirm(c, ConfirmOptions{Execute: reproducing(func(int) bool { return true })})
-	if conf.Runs != DefaultConfirmRuns {
-		t.Fatalf("Runs = %d, want DefaultConfirmRuns = %d", conf.Runs, DefaultConfirmRuns)
+// TestConfirmLegacyFlakyVerdictLoads: stores written while confirmation
+// took a majority vote over five attempts hold FLAKY verdicts. They
+// still load onto their cluster and render in the cluster table exactly
+// as before.
+func TestConfirmLegacyFlakyVerdictLoads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		if err := s.Append(testRecord("toysys", seed, int(seed))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const legacy = `{"kind":"confirm","confirm":{"sig":"toysys|toy.Master.commitPending#0|pre-read|shutdown|job-failure|NullPointerException@toy.Master.commitPending|66c33a0214b0cdea","label":"FLAKY","runs":5,"reproduced":2}}` + "\n"
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ix, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters := ix.Clusters()
+	if len(clusters) != 1 || clusters[0].Confirm == nil {
+		t.Fatalf("legacy verdict did not land on its cluster: %+v", clusters)
+	}
+	if got, want := *clusters[0].Confirm, (Confirmation{Sig: clusters[0].Sig.Key(), Label: "FLAKY", Runs: 5, Reproduced: 2}); got != want {
+		t.Fatalf("legacy verdict = %+v, want %+v", got, want)
+	}
+	const table = "CLUSTER       LABEL  RECORDS  SEEDS  SYSTEM  CAMPAIGNS  POINT                       FAULT     OUTCOME      EXCEPTION\n" +
+		"bug-ee38c3ca  FLAKY  3        3      toysys  test       toy.Master.commitPending#0  shutdown  job-failure  NullPointerException@toy.Master.commitPending\n"
+	if got := ClusterTable(clusters); got != table {
+		t.Fatalf("cluster table changed:\n--- got\n%s--- want\n%s", got, table)
 	}
 }

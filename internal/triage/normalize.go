@@ -1,8 +1,7 @@
 // Package triage turns raw fault-injection run reports into a
 // persistent, deduplicated bug database — the automation of the manual
 // step behind the paper's headline numbers (§6, Tables 8–10): collapsing
-// thousands of failing runs into distinct bugs and separating them from
-// flaky noise.
+// thousands of failing runs into distinct bugs.
 //
 // The package is layered below the trigger: it depends only on the
 // campaign engine and the observability layer, so the trigger, the
@@ -19,7 +18,7 @@
 //     append-only store with fsync'd batches and torn-tail healing.
 //   - index.go: the in-memory index — load/merge of store files, exact
 //     signature clustering with a nearest-cluster fallback, ranking.
-//   - confirm.go: the flaky-run confirmation pass (CONFIRMED / FLAKY /
+//   - confirm.go: the one-replay confirmation pass (CONFIRMED /
 //     UNREPRODUCED).
 //   - suppress.go: the known-issue suppression list.
 package triage
