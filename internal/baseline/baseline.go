@@ -14,13 +14,14 @@
 // injection crashes the writing node right after (or just before) one of
 // its emissions. The static side of Table 8 comes from the IR census.
 //
-// Baseline campaigns are deliberately excluded from the clone-fork
-// machinery (trigger.SnapshotPlan): each baseline run draws its own
-// per-run seed and injects at t chosen before the run starts, so no two
-// runs share a fault-free prefix to fork from — there is nothing for a
-// clone ladder to amortize. The closure timers scheduled here
-// (sim.Engine.After) are therefore fine; they never coexist with an
-// Engine.Clone.
+// No model draws from the engine RNG before a fault, so a random run up
+// to its injection time is one fault-free execution whatever its seed.
+// Random runs it once, cloning it at sixteen times over [0, T]; each job
+// draws from its own seed as a whole run does, resumes the last clone
+// before its injection time and injects there, under the fence of
+// prefix.fenced. A tripped fence or a system that is not
+// cluster.Cloneable takes the whole run. IO injection stays on whole
+// runs: its few dozen jobs do not pay for a second ladder.
 package baseline
 
 import (
@@ -98,39 +99,18 @@ type Options struct {
 	// DeadlineFactor bounds each run (default 20x baseline).
 	DeadlineFactor int
 	// IncludeMasters also targets the coordinator node (host "node0").
-	// The paper's clusters restart crashed masters; by default the
-	// baselines do not, and pick victims among worker nodes only —
-	// otherwise every master-victim run would trivially count as a hang.
-	// Set MasterRestart (and IncludeMasters) to model the paper's setup:
-	// a crashed master is restarted and rejoins via the system's
-	// recovery path.
+	// The paper's clusters restart crashed masters; the baselines do not,
+	// and by default pick victims among worker nodes only — otherwise
+	// every master-victim run would trivially count as a hang.
 	IncludeMasters bool
-	// MasterRestart, when positive, restarts a crashed master that long
-	// after the injection, mirroring the paper's clusters where the
-	// master is supervised. Only meaningful with IncludeMasters.
-	MasterRestart sim.Time
-	// FullObservation keeps the full observation pipeline (rendered log
-	// records, stack-recording probe) attached to every injection run.
-	// By default injection runs are lean — logs go to a discard root and
-	// the probe skips stack bookkeeping — because the baseline oracles
-	// read engine state only (workload status, exceptions, witnesses),
-	// never the rendered log stream: the same observation elision a
-	// snapshot fork performs (see trigger/snapshot.go), with the same
-	// byte-identical results. The profiling run behind CollectIOPoints
-	// always observes fully; it exists to read the logs.
-	FullObservation bool
 }
 
-// runConfig builds the per-injection-run cluster config: lean by
-// default, full when Options.FullObservation asks for it.
+// runConfig builds the lean per-injection-run cluster config: the
+// baseline oracles read engine state only, never the rendered logs.
 func (o Options) runConfig(seed int64) cluster.Config {
 	pb := probe.New()
-	pb.Lean = !o.FullObservation
-	logs := dslog.Discard()
-	if o.FullObservation {
-		logs = dslog.NewRoot()
-	}
-	return cluster.Config{Seed: seed, Scale: o.Scale, Probe: pb, Logs: logs}
+	pb.Lean = true
+	return cluster.Config{Seed: seed, Scale: o.Scale, Probe: pb, Logs: dslog.Discard()}
 }
 
 // campaignOptions builds the engine options for one baseline campaign,
@@ -226,46 +206,189 @@ func resultOf(j fleet.Job, outcome trigger.Outcome, duration sim.Time, witnesses
 	}
 }
 
+// Random jobs served by a fork, and forks abandoned for the whole run;
+// the counters are trigger's.
+var (
+	cloneForks     = obs.Default.Counter("crashtuner_clone_forks_total")
+	cloneFallbacks = obs.Default.Counter("crashtuner_clone_fallbacks_total")
+)
+
+// rungs is how many clones the random campaign's prefix ladder keeps.
+const rungs = 16
+
+// prefix is the fault-free run every random job shares up to its
+// injection time, built once per campaign.
+type prefix struct {
+	victims []sim.NodeID
+	seq     uint64 // a whole run's fault seq
+	// ladder[k] is the run with every event up to k·T/rungs dispatched
+	// (ladder[0]: none); empty when the system is not Cloneable.
+	ladder []cluster.Run
+	// fences[h] is the fingerprint after h dispatched events, up to T.
+	fences []sim.Fingerprint
+}
+
+// newPrefix runs the fault-free prefix once: NewRun, the seq reservation
+// where a whole run calls e.After, Start, then the ladder and fences.
+func newPrefix(r cluster.Runner, b trigger.Baseline, opts Options) *prefix {
+	cfg := opts.runConfig(opts.Seed)
+	run := r.NewRun(cfg)
+	e := run.Engine()
+	p := &prefix{victims: victims(e.AliveNodes(), opts.IncludeMasters), seq: e.ReserveSeq()}
+	run.Start()
+	p.fences = append(p.fences, e.Fingerprint())
+	d := b.Duration
+	for k := 0; k < rungs; k++ {
+		// The first rung is the started run: Run(0) would mean no deadline.
+		if at := d * sim.Time(k) / rungs; at > 0 && !p.step(run, at) {
+			break // the run ended before this rung
+		}
+		tmpl, ok := cluster.Clone(run, cfg)
+		if !ok {
+			break
+		}
+		p.ladder = append(p.ladder, tmpl)
+	}
+	if d > 0 {
+		p.step(run, d)
+	}
+	return p
+}
+
+// step dispatches the reference one event at a time up to until,
+// fencing after each; it reports false once the run has ended.
+func (p *prefix) step(run cluster.Run, until sim.Time) bool {
+	e := run.Engine()
+	defer func() { e.MaxSteps = 0 }()
+	for {
+		e.MaxSteps = e.Steps() + 1
+		if res := cluster.DriveResume(run, until); !res.Exhausted {
+			return res.Deadline
+		}
+		p.fences = append(p.fences, e.Fingerprint())
+	}
+}
+
+// fenced reports whether a fork whose fault at `at` is firing matches
+// the reference: Seq, Queue, NodeSum and Part as after the same number
+// of dispatched events, and no reference event due before at.
+func (p *prefix) fenced(e *sim.Engine, at sim.Time) bool {
+	h := int(e.Steps()) - 1 // the fault's own dispatch is counted
+	if h >= len(p.fences) {
+		return false
+	}
+	got, want := e.Fingerprint(), p.fences[h]
+	if got.Seq != want.Seq || got.Queue != want.Queue || got.NodeSum != want.NodeSum || got.Part != want.Part {
+		return false
+	}
+	return h+1 == len(p.fences) || p.fences[h+1].Now >= at
+}
+
+// draw is what a random job draws from its own seed, in a whole run's
+// order; rng continues the seed's stream after them.
+type draw struct {
+	seed     int64
+	at       sim.Time
+	victim   sim.NodeID
+	graceful bool
+	rng      sim.Stream
+}
+
+func (d draw) inject(e *sim.Engine) {
+	if d.graceful {
+		e.Shutdown(d.victim)
+	} else {
+		e.Crash(d.victim)
+	}
+}
+
 // randomExecutor implements fleet.Executor for the random campaign. A
 // random job is fully named by its seed: the injection time, the victim
-// and the crash/shutdown coin are all drawn from the run's own engine
-// RNG, so re-executing the job anywhere reproduces it bit-identically.
+// and the crash/shutdown coin are all drawn from the run's own seed, so
+// re-executing the job anywhere reproduces it bit-identically.
 type randomExecutor struct {
 	runner   cluster.Runner
 	baseline trigger.Baseline
 	opts     Options
 	deadline sim.Time
+	prefix   *prefix
 }
 
 var _ fleet.Executor = (*randomExecutor)(nil)
 
-func (x *randomExecutor) Execute(j fleet.Job) fleet.Result {
-	run := x.runner.NewRun(x.opts.runConfig(j.Seed))
-	e := run.Engine()
-	rng := e.Rand()
+func newRandomExecutor(r cluster.Runner, b trigger.Baseline, opts Options) *randomExecutor {
+	return &randomExecutor{runner: r, baseline: b, opts: opts, deadline: deadlineOf(b, opts.DeadlineFactor), prefix: newPrefix(r, b, opts)}
+}
+
+func (x *randomExecutor) draw(seed int64) draw {
+	rng := sim.NewStream(seed)
 	at := sim.Time(rng.Int63n(int64(x.baseline.Duration) + 1))
-	nodes := victims(e.AliveNodes(), x.opts.IncludeMasters)
-	victim := nodes[rng.Intn(len(nodes))]
+	victim := x.prefix.victims[rng.Intn(len(x.prefix.victims))]
 	graceful := rng.Intn(2) == 0
-	e.After(at, func() {
-		if graceful {
-			e.Shutdown(victim)
-		} else {
-			e.Crash(victim)
-		}
-		if x.opts.MasterRestart > 0 && victim.Host() == masterHost {
-			e.After(x.opts.MasterRestart, func() { cluster.Restart(run, victim) })
-		}
-	})
-	rr := cluster.Drive(run, x.deadline)
-	newEx := trigger.NewUnhandled(x.baseline, e)
+	return draw{seed: seed, at: at, victim: victim, graceful: graceful, rng: rng}
+}
+
+// fork runs the job from the highest rung before its injection time.
+// ok=false means no rung serves it or the fence tripped.
+func (x *randomExecutor) fork(d draw) (run cluster.Run, rr sim.RunResult, ok bool) {
+	p := x.prefix
+	k := len(p.ladder) - 1
+	if k < 0 {
+		return nil, rr, false
+	}
+	for k > 0 && x.baseline.Duration*sim.Time(k)/rungs >= d.at {
+		k--
+	}
+	if run, ok = cluster.Clone(p.ladder[k], x.opts.runConfig(d.seed)); ok {
+		e := run.Engine()
+		e.SetStream(d.rng)
+		e.AtSeq(d.at, p.seq, func() {
+			if ok = p.fenced(e, d.at); !ok {
+				e.Stop()
+				return
+			}
+			d.inject(e)
+		})
+		rr = cluster.DriveResume(run, x.deadline)
+	}
+	if !ok {
+		cloneFallbacks.Inc()
+		return nil, rr, false
+	}
+	cloneForks.Inc()
+	return run, rr, true
+}
+
+// whole runs the job from t = 0.
+func (x *randomExecutor) whole(d draw) (cluster.Run, sim.RunResult) {
+	run := x.runner.NewRun(x.opts.runConfig(d.seed))
+	e := run.Engine()
+	e.SetStream(d.rng)
+	e.After(d.at, func() { d.inject(e) })
+	return run, cluster.Drive(run, x.deadline)
+}
+
+func (x *randomExecutor) Execute(j fleet.Job) fleet.Result {
+	d := x.draw(j.Seed)
+	run, rr, ok := x.fork(d)
+	if !ok {
+		// Redraw: the abandoned fork owns d's stream.
+		d = x.draw(j.Seed)
+		run, rr = x.whole(d)
+	}
+	return x.result(j, d, run, rr)
+}
+
+// result judges one finished random run.
+func (x *randomExecutor) result(j fleet.Job, d draw, run cluster.Run, rr sim.RunResult) fleet.Result {
+	newEx := trigger.NewUnhandled(x.baseline, run.Engine())
 	outcome := trigger.Evaluate(x.baseline, run, rr, newEx, x.opts.TimeoutFactor)
 	kind := sim.FaultCrash
-	if graceful {
+	if d.graceful {
 		kind = sim.FaultShutdown
 	}
-	fault := &fleet.Fault{Kind: kind.String(), Node: string(victim), At: at}
-	return resultOf(j, outcome, rr.End, run.Witnesses(), newEx, fault, string(victim))
+	fault := &fleet.Fault{Kind: kind.String(), Node: string(d.victim), At: d.at}
+	return resultOf(j, outcome, rr.End, run.Witnesses(), newEx, fault, string(d.victim))
 }
 
 // Random runs the §4.2.1 random crash-injection campaign: the job list
@@ -276,7 +399,7 @@ func (x *randomExecutor) Execute(j fleet.Job) fleet.Result {
 func Random(r cluster.Runner, b trigger.Baseline, opts Options) *Result {
 	opts.defaults()
 	res := newResult(r.Name())
-	x := &randomExecutor{runner: r, baseline: b, opts: opts, deadline: deadlineOf(b, opts.DeadlineFactor)}
+	x := newRandomExecutor(r, b, opts)
 	jobs := make([]fleet.Job, opts.Runs)
 	for i := range jobs {
 		jobs[i] = fleet.Job{System: r.Name(), Campaign: "random", Run: i, Seed: opts.Seed + int64(i), Scale: opts.Scale}
@@ -383,9 +506,6 @@ func (x *ioExecutor) Execute(j fleet.Job) fleet.Result {
 	victim := jb.point.Node
 	e.After(jb.at, func() {
 		e.Crash(victim)
-		if x.opts.MasterRestart > 0 && victim.Host() == masterHost {
-			e.After(x.opts.MasterRestart, func() { cluster.Restart(run, victim) })
-		}
 	})
 	rr := cluster.Drive(run, x.deadline)
 	newEx := trigger.NewUnhandled(x.baseline, e)

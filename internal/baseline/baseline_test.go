@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -82,27 +81,6 @@ func TestIOInjectionCampaign(t *testing.T) {
 	excl := IOInjection(r, matcher, b, Options{Seed: 1})
 	if excl.Runs == 0 || excl.Runs >= out.Runs {
 		t.Errorf("master exclusion not applied to IO points: excluded %d, included %d", excl.Runs, out.Runs)
-	}
-}
-
-// Injection runs are lean by default (discard logs, lean probe); the
-// FullObservation opt-out re-attaches the whole pipeline. The oracles
-// read engine state only, so the two must agree byte for byte.
-func TestLeanInjectionRunsMatchFullObservation(t *testing.T) {
-	r := &toysys.Runner{}
-	_, matcher := core.AnalysisPhase(r, core.Options{Seed: 1})
-	b := trigger.MeasureBaseline(r, 1, 1, 2, 0)
-
-	lean := Random(r, b, Options{Seed: 1, Runs: 30})
-	full := Random(r, b, Options{Seed: 1, Runs: 30, FullObservation: true})
-	if !reflect.DeepEqual(lean, full) {
-		t.Errorf("random campaign diverged:\nlean %+v\nfull %+v", lean, full)
-	}
-
-	leanIO := IOInjection(r, matcher, b, Options{Seed: 1, IncludeMasters: true})
-	fullIO := IOInjection(r, matcher, b, Options{Seed: 1, IncludeMasters: true, FullObservation: true})
-	if !reflect.DeepEqual(leanIO, fullIO) {
-		t.Errorf("io campaign diverged:\nlean %+v\nfull %+v", leanIO, fullIO)
 	}
 }
 

@@ -280,3 +280,43 @@ func TestLivenessMonitorCloneTo(t *testing.T) {
 		t.Errorf("source onLost fired %d times from clone-side events", len(srcLost))
 	}
 }
+
+// TestReservedSeqKeepsOrderAtEqualTimes: an event scheduled with AtSeq
+// under a seq reserved before others takes its reserved place among
+// events at the same instant, on the engine itself and on a clone taken
+// after the reservation, and the reservation counts once in Seq.
+func TestReservedSeqKeepsOrderAtEqualTimes(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	seq := e.ReserveSeq()
+	e.After(5, func() { order = append(order, "later") })
+	e.AtSeq(5, seq, func() { order = append(order, "reserved") })
+	e.Quiesce()
+	if len(order) != 2 || order[0] != "reserved" || e.Fingerprint().Seq != 2 {
+		t.Fatalf("order %v, Seq %d: want the reserved event first and Seq 2", order, e.Fingerprint().Seq)
+	}
+
+	// A whole run schedules its fault at 30ms right after construction;
+	// a fork reserves that seq instead, clones at 20ms and schedules the
+	// fault in the clone. The pings at 30ms tie with it.
+	const at = 30 * Millisecond
+	whole, ids := keyedChatter(7)
+	whole.After(at, func() { whole.Crash(ids[1]) })
+	ref, _ := keyedChatter(7)
+	seq = ref.ReserveSeq()
+	runTo(t, ref, 20)
+	if ref.Now() >= at {
+		t.Fatalf("reference reached %v before the clone point", ref.Now())
+	}
+	fork, _, err := ref.Clone()
+	if err != nil {
+		t.Fatalf("Clone: %v", err)
+	}
+	wireKeyedChatter(fork, ids)
+	fork.AtSeq(at, seq, func() { fork.Crash(ids[1]) })
+	runTo(t, whole, 400)
+	runTo(t, fork, 400)
+	if whole.Fingerprint() != fork.Fingerprint() {
+		t.Errorf("fork diverged from the whole run:\nwhole %+v\nfork  %+v", whole.Fingerprint(), fork.Fingerprint())
+	}
+}

@@ -420,10 +420,10 @@ const DefaultMaxSteps = 20_000_000
 // many engines on one seed — a snapshot-forked campaign — pays the
 // expensive source seeding once per process instead of once per run.
 func NewEngine(seed int64) *Engine {
-	src := &streamSource{buf: bufferFor(seed)}
+	s := NewStream(seed)
 	return &Engine{
-		rng:            rand.New(src),
-		src:            src,
+		rng:            s.Rand,
+		src:            s.src,
 		MessageLatency: Millisecond,
 	}
 }
@@ -433,6 +433,10 @@ func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's seeded RNG.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
+
+// SetStream makes s the engine's RNG: the engine's next draw is s's next
+// draw. The caller must not draw from s afterwards.
+func (e *Engine) SetStream(s Stream) { e.rng, e.src = s.Rand, s.src }
 
 // Steps returns the number of events dispatched so far.
 func (e *Engine) Steps() uint64 { return e.handled }
@@ -519,10 +523,11 @@ func (e *Engine) Faults() []FaultRecord {
 const eventBlock = 32
 
 // schedule enqueues fn at absolute time at, bound to node (or "" for
-// engine-level). The event comes from the freelist when one is
+// engine-level), under sequence number seq, or the next one when seq is
+// 0 (numbers start at 1). The event comes from the freelist when one is
 // available; callers that hand the event out wrap it in a Timer
 // alongside its generation.
-func (e *Engine) schedule(at Time, node NodeID, fn func()) *event {
+func (e *Engine) schedule(at Time, seq uint64, node NodeID, fn func()) *event {
 	if at < e.now {
 		at = e.now
 	}
@@ -532,7 +537,10 @@ func (e *Engine) schedule(at Time, node NodeID, fn func()) *event {
 			inc = n.incarnation
 		}
 	}
-	e.seq++
+	if seq == 0 {
+		e.seq++
+		seq = e.seq
+	}
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -548,7 +556,7 @@ func (e *Engine) schedule(at Time, node NodeID, fn func()) *event {
 		}
 		ev = &block[0]
 	}
-	ev.at, ev.seq, ev.node, ev.fn, ev.inc = at, e.seq, node, fn, inc
+	ev.at, ev.seq, ev.node, ev.fn, ev.inc = at, seq, node, fn, inc
 	e.pq.push(ev)
 	return ev
 }
@@ -574,14 +582,31 @@ func (e *Engine) recycle(ev *event) {
 // After schedules fn to run after d elapses. The timer survives node
 // failures; use Node-scoped scheduling via AfterOn for per-node timers.
 func (e *Engine) After(d Time, fn func()) *Timer {
-	ev := e.schedule(e.now+d, "", fn)
+	ev := e.schedule(e.now+d, 0, "", fn)
+	return &Timer{ev: ev, gen: ev.gen}
+}
+
+// ReserveSeq takes the next scheduling sequence number without
+// scheduling anything. AtSeq later spends it, on this engine or on a
+// clone of it, so the event lands in the (time, seq) order it would have
+// had if it had been scheduled at the reservation.
+func (e *Engine) ReserveSeq() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// AtSeq schedules fn at absolute time at under seq, a number ReserveSeq
+// handed out. It does not advance the engine's sequence counter: the
+// reservation already did.
+func (e *Engine) AtSeq(at Time, seq uint64, fn func()) *Timer {
+	ev := e.schedule(at, seq, "", fn)
 	return &Timer{ev: ev, gen: ev.gen}
 }
 
 // AfterOn schedules fn on behalf of node id; it is silently dropped if the
 // node is dead when it fires.
 func (e *Engine) AfterOn(id NodeID, d Time, fn func()) *Timer {
-	ev := e.schedule(e.now+d, id, fn)
+	ev := e.schedule(e.now+d, 0, id, fn)
 	return &Timer{ev: ev, gen: ev.gen}
 }
 
@@ -596,7 +621,7 @@ func (e *Engine) AfterKeyed(id NodeID, d Time, key string, arg any) *Timer {
 	if key == "" {
 		panic("sim: AfterKeyed requires a non-empty key")
 	}
-	ev := e.schedule(e.now+d, id, nil)
+	ev := e.schedule(e.now+d, 0, id, nil)
 	ev.key, ev.arg = key, arg
 	return &Timer{ev: ev, gen: ev.gen}
 }
@@ -635,7 +660,7 @@ func (e *Engine) everyEvent(id NodeID, period Time, fn func()) *event {
 	if period <= 0 {
 		period = 1
 	}
-	ev := e.schedule(e.now+period, id, fn)
+	ev := e.schedule(e.now+period, 0, id, fn)
 	ev.period = period
 	return ev
 }
@@ -653,7 +678,7 @@ func (e *Engine) Send(from, to NodeID, service, kind string, body any) {
 		lat += e.part.delay
 		e.part.delayed++
 	}
-	ev := e.schedule(e.now+lat, to, nil)
+	ev := e.schedule(e.now+lat, 0, to, nil)
 	ev.msg = Message{From: from, To: to, Service: service, Kind: kind, Body: body}
 	ev.isMsg = true
 }
