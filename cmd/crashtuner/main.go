@@ -173,7 +173,7 @@ func main() {
 		Partition: po,
 		Analyze:   *analyze,
 	}
-	res, matcher := core.AnalysisPhase(r, opts)
+	res := core.Run(r, opts)
 	fmt.Printf("Phase 1 — analysis (%v):\n", res.Timing.Analysis.Round(time.Millisecond))
 	fmt.Printf("  log patterns: %d, parsed instances: %d (unmatched %d)\n",
 		res.Patterns, res.Parsed, res.Unmatched)
@@ -185,12 +185,10 @@ func main() {
 		len(res.Static.Points), res.Static.Pruned.Constructor,
 		res.Static.Pruned.Unused, res.Static.Pruned.SanityCheck)
 
-	core.ProfilePhase(r, res, opts)
 	fmt.Printf("Phase 2 — profiling (%v): %d dynamic crash points in %d iterations (final scale %d)\n\n",
 		res.Timing.Profile.Round(time.Millisecond), len(res.Dynamic.Points),
 		res.Dynamic.Iterations, res.Dynamic.FinalScale)
 
-	core.TestPhase(r, matcher, res, opts)
 	fmt.Printf("Phase 3 — fault-injection testing (%v wall, %v virtual):\n",
 		res.Timing.Test.Round(time.Millisecond), res.Timing.VirtualTest)
 	printReports(res.Reports, *verbose)

@@ -13,7 +13,7 @@
 // the fault-free baseline and the snapshot plans — is memoized per
 // system through core.SharedArtifacts, so the crash, recovery and
 // partition tables pay it once and only their injection runs each;
-// -artifact-cache=false disables the cache.
+// with -artifact-cache=false every pipeline runs on a cache of its own.
 package main
 
 import (

@@ -147,36 +147,53 @@ func AnalysisPhase(r cluster.Runner, opts Options) (*Result, *logparse.Matcher) 
 	run := r.NewRun(cluster.Config{Seed: opts.Seed, Scale: opts.Scale, Probe: probe.New(), Logs: logs})
 	cluster.Drive(run, opts.Deadline)
 
+	res, matcher, _ := analyze(r, logs.Records())
+	res.Timing.Analysis = time.Since(start)
+	emitPhase(opts.Sink, r.Name(), "analysis", res.Timing.Analysis, 0)
+	return res, matcher
+}
+
+// analyze mines one fault-free run's log records: the patterns, the
+// meta-info analysis and the static crash points. It also returns the
+// records' matches, in record order.
+func analyze(r cluster.Runner, records []dslog.Record) (*Result, *logparse.Matcher, []*logparse.Match) {
 	program := r.Program()
 	matcher := logparse.MatcherFor(program)
-	parsed := matcher.ParseAll(logs.Records())
+	parsed := matcher.ParseAll(records)
 	analysis := metainfo.Infer(program, parsed.Matches, r.Hosts())
-	static := crashpoint.Analyze(analysis)
-
-	res := &Result{
+	return &Result{
 		System:    r.Name(),
 		Workload:  r.Workload(),
 		Patterns:  len(matcher.Patterns()),
 		Parsed:    len(parsed.Matches),
 		Unmatched: len(parsed.Unmatched),
 		Analysis:  analysis,
-		Static:    static,
-	}
-	res.Timing.Analysis = time.Since(start)
-	emitPhase(opts.Sink, r.Name(), "analysis", res.Timing.Analysis, 0)
-	return res, matcher
+		Static:    crashpoint.Analyze(analysis),
+	}, matcher, parsed.Matches
 }
 
 // ProfilePhase collects dynamic crash points for the static points.
 func ProfilePhase(r cluster.Runner, res *Result, opts Options) {
+	profilePhase(r, res, opts, nil)
+}
+
+// profilePhase is ProfilePhase with iteration 0 read from rec when it is
+// non-nil: the recorded fault-free run at the same seed, scale and
+// deadline.
+func profilePhase(r cluster.Runner, res *Result, opts Options, rec *trigger.Recording) {
 	opts.defaults()
 	start := time.Now()
-	res.Dynamic = profiler.Collect(r, res.Static, profiler.Options{
+	po := profiler.Options{
 		Seed:          opts.Seed,
 		StartScale:    opts.Scale,
 		MaxIterations: opts.MaxProfileIterations,
 		Deadline:      opts.Deadline,
-	})
+	}
+	if rec != nil {
+		res.Dynamic = profiler.CollectFrom(r, res.Static, po, rec.Points())
+	} else {
+		res.Dynamic = profiler.Collect(r, res.Static, po)
+	}
 	res.Timing.Profile = time.Since(start)
 	emitPhase(opts.Sink, r.Name(), "profile", res.Timing.Profile, 0)
 }
@@ -187,7 +204,7 @@ func ProfilePhase(r cluster.Runner, res *Result, opts Options) {
 // baseline — plans are keyed on the run deadline, which derives from it.
 func (o Options) snapshotPlan(t *trigger.Tester) *trigger.SnapshotPlan {
 	if o.artifacts != nil {
-		return o.artifacts.SnapshotPlan(t)
+		return o.artifacts.snapshotPlan(t, o)
 	}
 	return t.BuildSnapshotPlan()
 }
@@ -295,10 +312,9 @@ func TestPhase(r cluster.Runner, matcher *logparse.Matcher, res *Result, opts Op
 	emitPhase(opts.Sink, r.Name(), "test", res.Timing.Test, res.Timing.VirtualTest)
 }
 
-// Run executes the full pipeline.
+// Run executes the full pipeline on a fresh ArtifactCache, so the one
+// fault-free run it records serves the analysis, profiler iteration 0,
+// the baseline and the snapshot plan (see ArtifactCache).
 func Run(r cluster.Runner, opts Options) *Result {
-	res, matcher := AnalysisPhase(r, opts)
-	ProfilePhase(r, res, opts)
-	TestPhase(r, matcher, res, opts)
-	return res
+	return NewArtifactCache().Run(r, opts)
 }

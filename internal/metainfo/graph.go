@@ -6,6 +6,7 @@
 package metainfo
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -15,7 +16,10 @@ import (
 // meta-info value to the node it belongs to. The same structure backs the
 // offline analysis here and the online stash (internal/stash).
 type Graph struct {
-	hosts map[string]bool
+	// hosts is the configured hostnames, sorted and deduplicated: a
+	// slice rather than a set, because NodeValue scans every host for
+	// every value it sees.
+	hosts []string
 	// nodes is the HashSet of Fig. 6.
 	nodes map[string]bool
 	// assoc is the HashMap of Fig. 6: value -> node value.
@@ -32,16 +36,14 @@ type Graph struct {
 // NewGraph returns an empty graph for a cluster with the given configured
 // hostnames (the paper reads these from the system configuration file).
 func NewGraph(hosts []string) *Graph {
-	g := &Graph{
-		hosts:      make(map[string]bool, len(hosts)),
+	sorted := append([]string(nil), hosts...)
+	sort.Strings(sorted)
+	return &Graph{
+		hosts:      slices.Compact(sorted),
 		nodes:      make(map[string]bool),
 		assoc:      make(map[string]string),
 		hostToNode: make(map[string]string),
 	}
-	for _, h := range hosts {
-		g.hosts[h] = true
-	}
-	return g
 }
 
 // NodeValue extracts the canonical node value (host:port) referenced by a
@@ -56,7 +58,7 @@ func (g *Graph) NodeValue(v string) (string, bool) {
 	// resolution (and thus whole campaign tables) vary run to run.
 	bestIdx := -1
 	bestHost, bestVal := "", ""
-	for h := range g.hosts {
+	for _, h := range g.hosts {
 		i := strings.Index(v, h)
 		if i < 0 {
 			continue

@@ -47,7 +47,9 @@ type Set struct {
 	Points []probe.DynPoint
 	// Iterations is the number of profiling runs performed.
 	Iterations int
-	// FinalScale is the workload scale of the last run.
+	// FinalScale is the largest scale that found new points: the last
+	// run's scale when the loop hit MaxIterations, the one before it
+	// when the loop converged.
 	FinalScale int
 	// StaticHit counts distinct static points that executed at least
 	// once (the others are discarded, §3.1.3).
@@ -63,6 +65,19 @@ type armKey struct {
 // Collect profiles runner against the static crash points and returns
 // the dynamic crash point set.
 func Collect(r cluster.Runner, static *crashpoint.Result, opts Options) *Set {
+	return collect(r, static, opts, nil, false)
+}
+
+// CollectFrom is Collect with iteration 0 read from a recorded run
+// instead of driven: first lists the dynamic points the fault-free run
+// at (opts.Seed, opts.StartScale, opts.Deadline) hit. The profiling hook
+// only observes, so filtering those points by the static points is
+// iteration 0 exactly; the doubling loop then runs from iteration 1.
+func CollectFrom(r cluster.Runner, static *crashpoint.Result, opts Options, first []probe.DynPoint) *Set {
+	return collect(r, static, opts, first, true)
+}
+
+func collect(r cluster.Runner, static *crashpoint.Result, opts Options, first []probe.DynPoint, recorded bool) *Set {
 	opts.defaults()
 	armed := make(map[armKey]bool, len(static.Points))
 	for _, sp := range static.Points {
@@ -71,29 +86,36 @@ func Collect(r cluster.Runner, static *crashpoint.Result, opts Options) *Set {
 
 	found := make(map[string]probe.DynPoint)
 	staticHit := make(map[armKey]bool)
+	observe := func(d probe.DynPoint) {
+		k := armKey{d.Point, d.Scenario}
+		if !armed[k] {
+			return
+		}
+		staticHit[k] = true
+		if _, ok := found[d.Key()]; !ok {
+			found[d.Key()] = d
+		}
+	}
 	scale := opts.StartScale
 	iters := 0
 	for ; iters < opts.MaxIterations; iters++ {
 		before := len(found)
-		pb := probe.New()
-		pb.OnAccess = func(a probe.Access) {
-			k := armKey{a.Point, a.Scenario}
-			if !armed[k] {
-				return
+		if iters == 0 && recorded {
+			for _, d := range first {
+				observe(d)
 			}
-			staticHit[k] = true
-			d := a.Dyn()
-			if _, ok := found[d.Key()]; !ok {
-				found[d.Key()] = d
-			}
+		} else {
+			pb := probe.New()
+			pb.OnAccess = func(a probe.Access) { observe(a.Dyn()) }
+			// The profile reads accesses only; no log record is rendered.
+			run := r.NewRun(cluster.Config{
+				Seed:  opts.Seed + int64(iters),
+				Scale: scale,
+				Probe: pb,
+				Logs:  dslog.Discard(),
+			})
+			cluster.Drive(run, opts.Deadline)
 		}
-		run := r.NewRun(cluster.Config{
-			Seed:  opts.Seed + int64(iters),
-			Scale: scale,
-			Probe: pb,
-			Logs:  dslog.NewRoot(),
-		})
-		cluster.Drive(run, opts.Deadline)
 		if len(found) == before && iters > 0 {
 			iters++
 			break

@@ -83,10 +83,24 @@ func (s *Stash) Process(rec dslog.Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.Instances++
-	m := s.session.Match(rec)
-	if m == nil {
-		return
+	if m := s.session.Match(rec); m != nil {
+		s.forward(m)
 	}
+}
+
+// ProcessMatch is Process for a record the caller has already matched
+// with the stash's matcher, such as an offline replay of a parsed log
+// stream: it feeds the match's kept values to the graph.
+func (s *Stash) ProcessMatch(m *logparse.Match) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.Instances++
+	s.forward(m)
+}
+
+// forward keeps the meta-info values of one matched record and feeds
+// them to the graph. The caller holds mu.
+func (s *Stash) forward(m *logparse.Match) {
 	forward := s.fwd[:0]
 	for i, arg := range m.Pattern.Stmt.Args {
 		if i >= len(m.Values) {

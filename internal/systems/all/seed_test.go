@@ -66,3 +66,49 @@ func TestFaultFreeRunsSeedInvariant(t *testing.T) {
 		}
 	}
 }
+
+// observedRun is what a run without log readers lets the pipeline see:
+// the access stream's dynamic-point keys and the run's outcome.
+type observedRun struct {
+	Accesses    []string
+	Result      sim.RunResult
+	Fingerprint sim.Fingerprint
+	Status      cluster.Status
+	Witnesses   []string
+	Exceptions  []sim.Exception
+}
+
+func observe(r cluster.Runner, seed int64, scale int, logs *dslog.Root) observedRun {
+	var o observedRun
+	pb := probe.New()
+	pb.OnAccess = func(a probe.Access) { o.Accesses = append(o.Accesses, a.Dyn().Key()) }
+	run := r.NewRun(cluster.Config{Seed: seed, Scale: scale, Probe: pb, Logs: logs})
+	o.Result = cluster.Drive(run, sim.Hour)
+	o.Fingerprint = run.Engine().Fingerprint()
+	o.Status = run.Status()
+	o.Witnesses = run.Witnesses()
+	o.Exceptions = run.Engine().Exceptions()
+	return o
+}
+
+// TestDiscardedLogsLeaveRunUnchanged: no model reads its own logs, so a
+// run logging to dslog.Discard() is the run logging to a real root in
+// everything but the records. The profiler's runs and the baseline
+// census log to a discarding root on this premise.
+func TestDiscardedLogsLeaveRunUnchanged(t *testing.T) {
+	for _, r := range systems {
+		for _, seed := range []int64{11, 1009} {
+			for _, scale := range []int{1, 2, 4, 8, 32, 64} {
+				want := observe(r, seed, scale, dslog.NewRoot())
+				if len(want.Accesses) == 0 {
+					t.Errorf("%s seed %d scale %d: the run made no probe access", r.Name(), seed, scale)
+				}
+				if got := observe(r, seed, scale, dslog.Discard()); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s seed %d scale %d: run under a discarding root differs: %d/%d accesses, end %v/%v, fingerprint %+v/%+v, status %v/%v",
+						r.Name(), seed, scale, len(got.Accesses), len(want.Accesses), got.Result.End, want.Result.End,
+						got.Fingerprint, want.Fingerprint, got.Status, want.Status)
+				}
+			}
+		}
+	}
+}

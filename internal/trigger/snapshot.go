@@ -13,6 +13,10 @@
 //   - a sim.Fingerprint — the replay fence that proves the fork reached
 //     the same engine state before any fault is injected.
 //
+// The reference pass is either the plan's own fault-free run
+// (BuildSnapshotPlan) or a Recording of that same run which the offline
+// analysis already drove (SnapshotPlanFrom, record.go).
+//
 // Systems that implement cluster.Cloneable schedule every mid-run timer
 // through the keyed API, so their engines hold no closures and
 // Engine.Clone can deep-copy the whole run in O(state). A capture pass —
@@ -102,6 +106,9 @@ type SnapshotPlan struct {
 	maxSteps uint64
 
 	points map[probe.DynPoint]pointSnapshot
+	// recorded reports that the point table and the reference outcome
+	// came from a Recording rather than the plan's own reference pass.
+	recorded bool
 
 	// rungs is the clone ladder: engine+model templates captured at
 	// ascending event-count boundaries by the capture pass. Empty when the
@@ -194,14 +201,7 @@ func (t *Tester) BuildSnapshotPlan() *SnapshotPlan {
 	e := sysRun.Engine()
 	e.MaxSteps = t.MaxSteps
 
-	p := &SnapshotPlan{
-		system:   t.Runner.Name(),
-		seed:     t.Seed,
-		scale:    t.Scale,
-		deadline: t.RunDeadline(),
-		maxSteps: t.MaxSteps,
-		points:   make(map[probe.DynPoint]pointSnapshot),
-	}
+	p := t.newPlan()
 	var ordinal uint64
 	pb.OnAccess = func(a probe.Access) {
 		d := a.Dyn()
@@ -228,6 +228,18 @@ func (t *Tester) BuildSnapshotPlan() *SnapshotPlan {
 	t.captureClones(p)
 	t.emitPhase(-1, "clone-capture", time.Since(start), 0)
 	return p
+}
+
+// newPlan returns an empty plan keyed on t's run parameters.
+func (t *Tester) newPlan() *SnapshotPlan {
+	return &SnapshotPlan{
+		system:   t.Runner.Name(),
+		seed:     t.Seed,
+		scale:    t.Scale,
+		deadline: t.RunDeadline(),
+		maxSteps: t.MaxSteps,
+		points:   make(map[probe.DynPoint]pointSnapshot),
+	}
 }
 
 // maxClones bounds the rung ladder: more rungs mean shorter replay gaps

@@ -268,7 +268,8 @@ func (t *Tester) scope() obs.Scope {
 }
 
 // MeasureBaseline performs fault-free runs and unions their exception
-// signatures; the longest duration becomes the reference.
+// signatures; the longest duration becomes the reference. The oracle
+// reads no log record, so the runs log to a discarding root.
 func MeasureBaseline(r cluster.Runner, seed int64, scale, runs int, deadline sim.Time) Baseline {
 	if runs < 1 {
 		runs = 1
@@ -276,21 +277,31 @@ func MeasureBaseline(r cluster.Runner, seed int64, scale, runs int, deadline sim
 	if deadline <= 0 {
 		deadline = sim.Hour
 	}
-	b := Baseline{Exceptions: make(map[string]bool), Runs: runs, Status: cluster.Succeeded}
+	b := newBaseline(runs)
 	for i := 0; i < runs; i++ {
-		run := r.NewRun(cluster.Config{Seed: seed + int64(i), Scale: scale, Probe: probe.New(), Logs: dslog.NewRoot()})
+		run := r.NewRun(cluster.Config{Seed: seed + int64(i), Scale: scale, Probe: probe.New(), Logs: dslog.Discard()})
 		res := cluster.Drive(run, deadline)
-		if res.End > b.Duration {
-			b.Duration = res.End
-		}
-		for _, ex := range run.Engine().Exceptions() {
-			b.Exceptions[triage.NormalizeException(ex.Signature)] = true
-		}
-		if run.Status() != cluster.Succeeded {
-			b.Status = run.Status()
-		}
+		b.add(res.End, run.Status(), run.Engine().Exceptions())
 	}
 	return b
+}
+
+func newBaseline(runs int) Baseline {
+	return Baseline{Exceptions: make(map[string]bool), Runs: runs, Status: cluster.Succeeded}
+}
+
+// add folds one fault-free run's end time, status and exceptions into
+// the census.
+func (b *Baseline) add(end sim.Time, status cluster.Status, exceptions []sim.Exception) {
+	if end > b.Duration {
+		b.Duration = end
+	}
+	for _, ex := range exceptions {
+		b.Exceptions[triage.NormalizeException(ex.Signature)] = true
+	}
+	if status != cluster.Succeeded {
+		b.Status = status
+	}
 }
 
 // TestPoint runs the system once with an injection armed at d.
