@@ -98,11 +98,14 @@ type Result struct {
 // Analyze computes the static crash points for the program underlying a.
 func Analyze(a *metainfo.Analysis) *Result {
 	res := &Result{}
+	// Each point's key is rendered once, for the dedup and for the sort.
 	seen := make(map[string]bool)
+	var keys []string
 	add := func(sp StaticPoint) {
-		if !seen[sp.Key()] {
-			seen[sp.Key()] = true
+		if k := sp.Key(); !seen[k] {
+			seen[k] = true
 			res.Points = append(res.Points, sp)
+			keys = append(keys, k)
 		}
 	}
 	p := a.Program
@@ -180,8 +183,22 @@ func Analyze(a *metainfo.Analysis) *Result {
 		}
 		add(StaticPoint{Point: ins.ID, Scenario: scen, Field: ins.Field, Kind: fi.Kind})
 	}
-	sort.Slice(res.Points, func(i, j int) bool { return res.Points[i].Key() < res.Points[j].Key() })
+	sort.Sort(byKey{keys, res.Points})
 	return res
+}
+
+// byKey sorts points by their precomputed keys, keys[i] being
+// points[i].Key().
+type byKey struct {
+	keys   []string
+	points []StaticPoint
+}
+
+func (b byKey) Len() int           { return len(b.keys) }
+func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.points[i], b.points[j] = b.points[j], b.points[i]
 }
 
 // ByScenario splits points into pre-read and post-write sets.

@@ -84,7 +84,9 @@ func collect(r cluster.Runner, static *crashpoint.Result, opts Options, first []
 		armed[armKey{sp.Point, sp.Scenario}] = true
 	}
 
-	found := make(map[string]probe.DynPoint)
+	// found is keyed by the comparable DynPoint itself: its Key() string
+	// is rendered only for the final sort, not on every access.
+	found := make(map[probe.DynPoint]bool)
 	staticHit := make(map[armKey]bool)
 	observe := func(d probe.DynPoint) {
 		k := armKey{d.Point, d.Scenario}
@@ -92,9 +94,7 @@ func collect(r cluster.Runner, static *crashpoint.Result, opts Options, first []
 			return
 		}
 		staticHit[k] = true
-		if _, ok := found[d.Key()]; !ok {
-			found[d.Key()] = d
-		}
+		found[d] = true
 	}
 	scale := opts.StartScale
 	iters := 0
@@ -124,9 +124,19 @@ func collect(r cluster.Runner, static *crashpoint.Result, opts Options, first []
 	}
 
 	s := &Set{Iterations: iters, FinalScale: scale / 2, StaticHit: len(staticHit)}
-	for _, d := range found {
-		s.Points = append(s.Points, d)
+	keyed := make([]keyedPoint, 0, len(found))
+	for d := range found {
+		keyed = append(keyed, keyedPoint{d.Key(), d})
 	}
-	sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].Key() < s.Points[j].Key() })
+	sort.Slice(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
+	for _, kp := range keyed {
+		s.Points = append(s.Points, kp.d)
+	}
 	return s
+}
+
+// keyedPoint carries a dynamic point's rendered key through the sort.
+type keyedPoint struct {
+	key string
+	d   probe.DynPoint
 }

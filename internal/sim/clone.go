@@ -66,9 +66,11 @@ func (r *TimerRemap) Timer(t *Timer) *Timer {
 // are copied too, so the resumed run recycles them at the same dispatch
 // ordinals and the Recycled counter stays in lockstep with a replay.
 func (e *Engine) Clone() (*Engine, *TimerRemap, error) {
-	for _, ev := range e.pq {
-		if ev.fn != nil {
-			return nil, nil, fmt.Errorf("sim: cannot clone engine: pending closure timer on %q at %v (schedule it with AfterKeyed/EveryKeyed)", ev.node, ev.at)
+	for _, l := range e.q.lanes {
+		for ev := l.head; ev != nil; ev = ev.next {
+			if ev.fn != nil {
+				return nil, nil, fmt.Errorf("sim: cannot clone engine: pending closure timer on %q at %v (schedule it with AfterKeyed/EveryKeyed)", ev.node, ev.at)
+			}
 		}
 	}
 	e2 := &Engine{
@@ -114,19 +116,13 @@ func (e *Engine) Clone() (*Engine, *TimerRemap, error) {
 		}
 	}
 	// Pending queue: value-copy every event, dead ones included (they must
-	// be popped and recycled at the same ordinals as in a replay). The
-	// source array is itself a valid heap, so the copy is one. Generations
-	// restart from the copies' zero values; the Recycled counter, not the
-	// per-event generation, is what Fingerprint fences, and it was copied.
-	remap := &TimerRemap{events: make(map[*event]*event, len(e.pq))}
-	if len(e.pq) > 0 {
-		evs := make([]event, len(e.pq))
-		e2.pq = make(eventHeap, len(e.pq))
-		for i, ev := range e.pq {
-			evs[i] = *ev
-			e2.pq[i] = &evs[i]
-			remap.events[ev] = &evs[i]
-		}
-	}
+	// be popped and recycled at the same ordinals as in a replay), each
+	// delay lane in order into one contiguous block (see queue.go). The
+	// copied lanes keep their heap positions and (at, seq) keys, so the
+	// clone pops exactly the source's order. Generations restart from the
+	// copies' zero values; the Recycled counter, not the per-event
+	// generation, is what Fingerprint fences, and it was copied.
+	remap := &TimerRemap{events: make(map[*event]*event, e.q.n)}
+	e2.q = e.q.clone(remap.events)
 	return e2, remap, nil
 }

@@ -3,9 +3,10 @@
 // systems (internal/systems/...) run.
 //
 // The simulator provides a virtual clock, an event queue ordered by
-// (time, sequence), named nodes hosting message-handling services, timers
-// (engine-wide and node-scoped), heartbeat helpers, and the two fault
-// primitives the CrashTuner paper relies on:
+// (time, sequence) (delay lanes, see queue.go), named nodes hosting
+// message-handling services, timers (engine-wide and node-scoped),
+// heartbeat helpers, and the two fault primitives the CrashTuner paper
+// relies on:
 //
 //   - Crash: the node dies silently. In-flight messages to it are dropped
 //     and its timers are cancelled; peers only learn of the crash through
@@ -79,14 +80,16 @@ func (id NodeID) Host() string {
 // event if the node has since been restarted, so timers and in-flight
 // messages from a previous life are inert (see Restart).
 type event struct {
-	at    Time
-	seq   uint64
-	node  NodeID // "" for engine-level events
-	fn    func()
-	index int
-	dead  bool
-	gen   uint32
-	inc   uint32
+	at   Time
+	seq  uint64
+	node NodeID // "" for engine-level events
+	fn   func()
+	// next links the event to its successor in its delay lane (see
+	// queue.go); nil at the lane's tail and off the queue.
+	next *event
+	dead bool
+	gen  uint32
+	inc  uint32
 	// msg is set instead of fn for message deliveries (see Send): keeping
 	// the Message in the pooled event spares the per-send closure
 	// allocation the hot paths of a forked injection run would otherwise
@@ -105,74 +108,6 @@ type event struct {
 	// closure can survive.
 	key string
 	arg any
-}
-
-// eventHeap is a 4-ary min-heap ordered by (at, seq). The sift
-// operations are hand-rolled rather than going through container/heap:
-// the queue is the hottest structure in the engine and the interface
-// dispatch per compare/swap is measurable. Four children per node halve
-// the sift depth — and with it the pointer swaps and their write
-// barriers — at the cost of extra comparisons per level, a good trade
-// for pointer elements. The arity cannot affect determinism: (at, seq)
-// is a total order, so every correct heap pops the same unique minimum.
-type eventHeap []*event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) push(e *event) {
-	e.index = len(*h)
-	*h = append(*h, e)
-	q := *h
-	for i := e.index; i > 0; {
-		parent := (i - 1) / 4
-		if !q.less(i, parent) {
-			break
-		}
-		q.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() *event {
-	q := *h
-	n := len(q) - 1
-	q.swap(0, n)
-	// Sift the displaced element down within q[:n].
-	for i := 0; ; {
-		j := 4*i + 1
-		if j >= n {
-			break
-		}
-		end := j + 4
-		if end > n {
-			end = n
-		}
-		for k := j + 1; k < end; k++ {
-			if q.less(k, j) {
-				j = k
-			}
-		}
-		if !q.less(j, i) {
-			break
-		}
-		q.swap(i, j)
-		i = j
-	}
-	e := q[n]
-	q[n] = nil
-	*h = q[:n]
-	return e
 }
 
 // Timer is a handle to a scheduled event that can be cancelled.
@@ -372,7 +307,7 @@ type FaultRecord struct {
 type Engine struct {
 	now Time
 	seq uint64
-	pq  eventHeap
+	q   eventQueue
 	// nodes holds every node in creation order. Clusters are a handful
 	// of nodes, so lookups scan linearly instead of hashing the ID —
 	// cheaper than a map on the per-event hot path, and iteration order
@@ -557,7 +492,7 @@ func (e *Engine) schedule(at Time, seq uint64, node NodeID, fn func()) *event {
 		ev = &block[0]
 	}
 	ev.at, ev.seq, ev.node, ev.fn, ev.inc = at, seq, node, fn, inc
-	e.pq.push(ev)
+	e.q.push(ev, at-e.now)
 	return ev
 }
 
@@ -762,13 +697,13 @@ func (e *Engine) Run(deadline Time) RunResult {
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	for len(e.pq) > 0 && !e.stopped {
-		ev := e.pq[0]
+	for e.q.n > 0 && !e.stopped {
+		ev := e.q.peek()
 		if deadline > 0 && ev.at > deadline {
 			e.now = deadline
 			return RunResult{End: e.now, Steps: e.handled, Deadline: true}
 		}
-		e.pq.pop()
+		e.q.pop()
 		if ev.dead {
 			e.recycle(ev)
 			continue
@@ -818,11 +753,12 @@ func (e *Engine) Run(deadline Time) RunResult {
 			} else {
 				ev.fn()
 			}
-			// Reschedule the same event unless the callback killed the
-			// bound node; the series costs no per-tick allocation. The
-			// dead flag is reset because a Stop issued from inside the
-			// callback keeps the closure-era semantics: it lands after
-			// this tick has already committed to the next one.
+			// Reschedule the same event, into its period's delay lane,
+			// unless the callback killed the bound node; the series costs
+			// no per-tick allocation. The dead flag is reset because a
+			// Stop issued from inside the callback keeps the closure-era
+			// semantics: it lands after this tick has already committed
+			// to the next one.
 			if nn := e.node(ev.node); nn == nil || nn.alive {
 				var inc uint32
 				if nn != nil {
@@ -830,7 +766,7 @@ func (e *Engine) Run(deadline Time) RunResult {
 				}
 				e.seq++
 				ev.at, ev.seq, ev.inc, ev.dead = e.now+ev.period, e.seq, inc, false
-				e.pq.push(ev)
+				e.q.push(ev, ev.period)
 			} else {
 				e.recycle(ev)
 			}

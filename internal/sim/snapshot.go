@@ -73,7 +73,7 @@ func (e *Engine) Fingerprint() Fingerprint {
 		Now:      e.now,
 		Seq:      e.seq,
 		Handled:  e.handled,
-		Queue:    len(e.pq),
+		Queue:    e.q.n,
 		Recycled: e.recycled,
 		NodeSum:  h.Sum64(),
 		Part:     e.part.digest(),
