@@ -94,8 +94,13 @@ func main() {
 			RestartDelay:     sim.Time(*restartMS) * sim.Millisecond,
 			SecondFaultDelay: sim.Time(*secondMS) * sim.Millisecond,
 		}
-		if *secondKind == "shutdown" {
+		switch *secondKind {
+		case "crash":
+		case "shutdown":
 			rc.SecondFaultKind = sim.FaultShutdown
+		default:
+			fmt.Fprintf(os.Stderr, "unknown -second-fault %q (want crash or shutdown)\n", *secondKind)
+			os.Exit(2)
 		}
 	}
 	var po *trigger.PartitionOptions

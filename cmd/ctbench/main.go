@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/cliflags"
@@ -33,8 +34,8 @@ import (
 var experiments = []string{
 	"fig-metainfo", "table1", "table2", "table3", "table4", "table5",
 	"table6", "table7", "table8", "table9", "table10", "table11",
-	"table12", "table13", "repro", "timeouts", "summary", "pairs",
-	"recovery", "partition",
+	"table12", "table13", "repro", "timeouts", "summary", "recovery",
+	"partition",
 }
 
 func main() {
@@ -59,6 +60,27 @@ func main() {
 		fmt.Println(strings.Join(experiments, "\n"))
 		return
 	}
+	if *exp != "all" && !slices.Contains(experiments, *exp) {
+		fmt.Fprintf(os.Stderr, "unknown -exp %q (see -exp list)\n", *exp)
+		os.Exit(2)
+	}
+	want := func(id string) bool { return *exp == "all" || *exp == id }
+
+	var rc *trigger.RecoveryOptions
+	if want("recovery") {
+		rc = &trigger.RecoveryOptions{
+			RestartDelay:     sim.Time(*restartMS) * sim.Millisecond,
+			SecondFaultDelay: sim.Time(*secondMS) * sim.Millisecond,
+		}
+		switch *secondKind {
+		case "crash":
+		case "shutdown":
+			rc.SecondFaultKind = sim.FaultShutdown
+		default:
+			fmt.Fprintf(os.Stderr, "unknown -second-fault %q (want crash or shutdown)\n", *secondKind)
+			os.Exit(2)
+		}
+	}
 
 	// Observability stack: metrics always feed the default registry;
 	// -progress adds the human-readable stderr sink, -trace the JSONL
@@ -74,8 +96,6 @@ func main() {
 			os.Exit(1)
 		}
 	}()
-
-	want := func(id string) bool { return *exp == "all" || *exp == id }
 
 	// Static tables need no runs.
 	if want("table1") {
@@ -112,17 +132,8 @@ func main() {
 		}
 		fmt.Println(report.FigMetaInfo(r, *seed, *scale))
 	}
-	if want("pairs") {
-		r, err := all.ByName("yarn")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Println(report.PairSummary(r, *seed, *scale, 40))
-	}
-	needRecovery := want("recovery")
 	needPartition := want("partition")
-	if !needPipelines && !needRecovery && !needPartition {
+	if !needPipelines && rc == nil && !needPartition {
 		return
 	}
 
@@ -141,14 +152,7 @@ func main() {
 	}
 	x.Sink = rt.Config.Sink
 	x.Recorder = rt.Config.Recorder
-	if needRecovery {
-		rc := &trigger.RecoveryOptions{
-			RestartDelay:     sim.Time(*restartMS) * sim.Millisecond,
-			SecondFaultDelay: sim.Time(*secondMS) * sim.Millisecond,
-		}
-		if *secondKind == "shutdown" {
-			rc.SecondFaultKind = sim.FaultShutdown
-		}
+	if rc != nil {
 		fmt.Fprintln(os.Stderr, "running recovery-phase campaigns on all systems...")
 		x.RunRecovery(rc)
 		fmt.Println(x.RecoveryTable())

@@ -99,3 +99,21 @@ func TestFigMetaInfo(t *testing.T) {
 		t.Errorf("figure missing associated values:\n%s", s)
 	}
 }
+
+func TestTableWriterAlignment(t *testing.T) {
+	w := &tw{}
+	w.row("a", "bb", "ccc")
+	w.row("dddd", "e", "f")
+	out := w.String()
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("lines = %d:\n%s", len(lines), out)
+	}
+	// All rows share the same width.
+	if len(lines[0]) != len(lines[2]) {
+		t.Errorf("misaligned table:\n%s", out)
+	}
+	if !strings.HasPrefix(lines[1], "---") {
+		t.Errorf("missing header rule:\n%s", out)
+	}
+}

@@ -10,10 +10,28 @@ import (
 	"testing"
 
 	"repro/internal/crashpoint"
+	"repro/internal/dslog"
+	"repro/internal/logparse"
+	"repro/internal/metainfo"
 	"repro/internal/probe"
+	"repro/internal/sim"
 	"repro/internal/systems/cluster"
 	"repro/internal/systems/toysys"
 )
+
+// toyTester builds a Tester with a real meta-info analysis (the core
+// package wraps this, but importing it here would be a cycle).
+func toyTester(t *testing.T, r *toysys.Runner) *Tester {
+	t.Helper()
+	logs := dslog.NewRoot()
+	run := r.NewRun(cluster.Config{Seed: 1, Probe: probe.New(), Logs: logs})
+	cluster.Drive(run, sim.Hour)
+	matcher := logparse.NewMatcher(logparse.ExtractPatterns(r.Program()))
+	parsed := matcher.ParseAll(logs.Records())
+	analysis := metainfo.Infer(r.Program(), parsed.Matches, r.Hosts())
+	b := MeasureBaseline(r, 1, 1, 2, 0)
+	return &Tester{Runner: r, Analysis: analysis, Matcher: matcher, Baseline: b, Seed: 1, Scale: 1}
+}
 
 // planPoint returns the captured dynamic point with the smallest
 // dispatch ordinal — a deterministic pick across map iteration order.
