@@ -63,7 +63,7 @@ func main() {
 		serveAddr  = flag.String("serve", "", "fleet coordinator mode: plan the campaigns and lease shards to workers on this address (e.g. :7070) instead of executing locally")
 		fleetSys   = flag.String("fleet-systems", "", "with -serve: comma-separated systems to plan (default: the -system flag)")
 		shardSize  = flag.Int("shard-size", 8, "with -serve: lease granularity in jobs")
-		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "with -serve: how long a worker owns a shard without posting a result before it is re-queued")
+		leaseTTL   = flag.Duration("lease-ttl", 30*time.Second, "with -serve: how long a worker owns a shard without posting results before it is re-queued (a worker posts when its shard ends, and every third of this while a long shard runs)")
 		fleetDir   = flag.String("fleet-dir", "", "with -serve: directory for per-shard JSONL checkpoints (resumable with -resume)")
 		suppress   = flag.String("suppress", "", "with -serve: suppression file; the scheduler steers lease budget away from suppressed clusters")
 		workerAddr = flag.String("worker", "", "fleet worker mode: lease and execute shards from the coordinator at this base URL")
@@ -88,38 +88,34 @@ func main() {
 		return
 	}
 
+	// Value flags are parsed whether or not their mode is on, so a bad
+	// value fails loudly instead of being silently ignored.
+	secondFault, ok := trigger.ParseSecondFaultKind(*secondKind)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown -second-fault %q (want crash or shutdown)\n", *secondKind)
+		os.Exit(2)
+	}
+	cutMode, ok := sim.ParsePartitionMode(*partMode)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown -partition-mode %q (want drop, hold or delay)\n", *partMode)
+		os.Exit(2)
+	}
+
 	var rc *trigger.RecoveryOptions
 	if *recovery {
 		rc = &trigger.RecoveryOptions{
 			RestartDelay:     sim.Time(*restartMS) * sim.Millisecond,
 			SecondFaultDelay: sim.Time(*secondMS) * sim.Millisecond,
-		}
-		switch *secondKind {
-		case "crash":
-		case "shutdown":
-			rc.SecondFaultKind = sim.FaultShutdown
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -second-fault %q (want crash or shutdown)\n", *secondKind)
-			os.Exit(2)
+			SecondFaultKind:  secondFault,
 		}
 	}
 	var po *trigger.PartitionOptions
 	if *partition {
 		po = &trigger.PartitionOptions{
+			Mode:     cutMode,
 			Delay:    sim.Time(*partDelay) * sim.Millisecond,
 			HoldOpen: *holdOpen,
 			Guided:   *guided,
-		}
-		switch *partMode {
-		case "drop":
-			po.Mode = sim.PartitionDrop
-		case "hold":
-			po.Mode = sim.PartitionHold
-		case "delay":
-			po.Mode = sim.PartitionDelay
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -partition-mode %q (want drop, hold or delay)\n", *partMode)
-			os.Exit(2)
 		}
 		switch {
 		case *healMS < 0:

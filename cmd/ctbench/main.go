@@ -66,19 +66,19 @@ func main() {
 	}
 	want := func(id string) bool { return *exp == "all" || *exp == id }
 
+	// -second-fault is parsed whatever -exp says, so a bad value fails
+	// loudly instead of being silently ignored.
+	secondFault, ok := trigger.ParseSecondFaultKind(*secondKind)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown -second-fault %q (want crash or shutdown)\n", *secondKind)
+		os.Exit(2)
+	}
 	var rc *trigger.RecoveryOptions
 	if want("recovery") {
 		rc = &trigger.RecoveryOptions{
 			RestartDelay:     sim.Time(*restartMS) * sim.Millisecond,
 			SecondFaultDelay: sim.Time(*secondMS) * sim.Millisecond,
-		}
-		switch *secondKind {
-		case "crash":
-		case "shutdown":
-			rc.SecondFaultKind = sim.FaultShutdown
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -second-fault %q (want crash or shutdown)\n", *secondKind)
-			os.Exit(2)
+			SecondFaultKind:  secondFault,
 		}
 	}
 

@@ -1,9 +1,9 @@
 // The fleet coordinator: a long-running HTTP service that shards the
 // planned job space, hands shard leases to worker processes, re-queues
-// expired leases, ingests streamed results (with their trace spans)
-// back into the obs sink and the triage recorder, and checkpoints every
-// completed job to per-shard JSONL files so a killed coordinator — or a
-// killed worker — resumes instead of restarting.
+// expired leases, ingests each lease's batch of results (with their
+// trace spans) back into the obs sink and the triage recorder, and
+// checkpoints every completed job to per-shard JSONL files so a killed
+// coordinator — or a killed worker — resumes instead of restarting.
 //
 // Determinism: the job space is fixed by the plans, results assemble
 // into a slice indexed by global job position, duplicate results (late
@@ -49,8 +49,9 @@ type Config struct {
 	// ShardSize is the lease granularity in jobs (default 8).
 	ShardSize int
 	// LeaseTTL is how long a worker owns a shard without posting a
-	// result before the shard is re-queued (default 30s; each posted
-	// result renews the lease).
+	// batch of results before the shard is re-queued (default 30s).
+	// Each accepted batch renews the lease. A worker posts when its
+	// shard ends, and, while a long shard runs, every third of the TTL.
 	LeaseTTL time.Duration
 	// Dir, when non-empty, holds one JSONL checkpoint file per shard
 	// (campaign.CheckpointWriter lines, indexed by global job position).
@@ -417,18 +418,25 @@ type leaseReply struct {
 	TTLMilli int64        `json:"ttlMs"`
 }
 
-type resultPost struct {
-	Worker string `json:"worker"`
-	Lease  int64  `json:"lease"`
-	Shard  int    `json:"shard"`
+// resultBatch is the body of POST /v1/result: the results a worker
+// executed on one lease, in execution order.
+type resultBatch struct {
+	Worker  string        `json:"worker"`
+	Lease   int64         `json:"lease"`
+	Shard   int           `json:"shard"`
+	Results []resultEntry `json:"results"`
+}
+
+// resultEntry is one executed job of a batch, by global job index.
+type resultEntry struct {
 	I      int    `json:"i"`
 	Result Result `json:"r"`
 }
 
 type resultReply struct {
 	// Revoked tells the worker its lease is no longer live (expired and
-	// re-queued); the result was still accepted if it was first, but the
-	// worker should abandon the shard and lease afresh.
+	// re-queued); the batch was still accepted, first write winning per
+	// job, but the shard now belongs to somebody else.
 	Revoked bool `json:"revoked,omitempty"`
 }
 
@@ -467,7 +475,7 @@ func (c *Coordinator) grantLease(req leaseRequest) (int, []byte) {
 	}
 	sh := c.sched.pick(c.shards)
 	if sh == nil {
-		if sh = c.sched.steal(c.shards); sh != nil {
+		if sh = c.sched.steal(c.shards, now, c.cfg.LeaseTTL); sh != nil {
 			c.stats.Steals++
 			fleetSteals.Inc()
 		}
@@ -511,12 +519,12 @@ func sortIndexedJobs(js []indexedJob) {
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	var post resultPost
-	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
+	var batch resultBatch
+	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	status, body := c.acceptResult(post)
+	status, body := c.acceptBatch(batch)
 	if status != http.StatusOK {
 		http.Error(w, string(body), status)
 		return
@@ -525,35 +533,53 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// acceptResult validates and ingests one posted result under the lock,
+// acceptBatch validates and ingests one lease's batch under the lock,
 // returning the status plus the reply (marshalled reply on 200, error
 // text otherwise); like grantLease, the caller writes it only after the
-// lock is released.
-func (c *Coordinator) acceptResult(post resultPost) (int, []byte) {
+// lock is released. The batch is all or nothing: every entry is
+// validated before the first is ingested, so a refused batch leaves no
+// result, checkpoint line or sink event behind.
+func (c *Coordinator) acceptBatch(batch resultBatch) (int, []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
-	c.touchLocked(post.Worker, now)
+	c.touchLocked(batch.Worker, now)
 	c.sweepLocked(now)
-	if post.Shard < 0 || post.Shard >= len(c.shards) {
+	if len(batch.Results) == 0 {
+		// Also what a per-job post from an older worker decodes to.
+		return http.StatusBadRequest, []byte("result batch holds no results")
+	}
+	if batch.Shard < 0 || batch.Shard >= len(c.shards) {
 		return http.StatusBadRequest, []byte("unknown shard")
 	}
-	sh := c.shards[post.Shard]
-	if _, ok := sh.jobs[post.I]; !ok {
-		return http.StatusBadRequest, []byte(fmt.Sprintf("job %d not in shard %d", post.I, post.Shard))
+	sh := c.shards[batch.Shard]
+	var refused string
+	mismatched := 0
+	for _, e := range batch.Results {
+		if _, ok := sh.jobs[e.I]; !ok {
+			if refused == "" {
+				refused = fmt.Sprintf("job %d not in shard %d", e.I, batch.Shard)
+			}
+			continue
+		}
+		// A posted result must echo the job planned at its index: a
+		// version-skewed worker whose planning enumerates points
+		// differently fails loudly here instead of silently filling the
+		// wrong slot in the result table and the checkpoint.
+		if got, want := e.Result.Job.Key(), c.jobs[e.I].Key(); got != want {
+			mismatched++
+			if refused == "" {
+				refused = fmt.Sprintf("job mismatch at index %d: posted %s, planned %s", e.I, got, want)
+			}
+		}
 	}
-	// The posted result must echo the job planned at its index: a
-	// version-skewed worker whose planning enumerates points differently
-	// fails loudly here instead of silently filling the wrong slot in
-	// the result table and the checkpoint.
-	if got, want := post.Result.Job.Key(), c.jobs[post.I].Key(); got != want {
-		c.stats.Rejected++
-		return http.StatusBadRequest, []byte(fmt.Sprintf("job mismatch at index %d: posted %s, planned %s", post.I, got, want))
+	if refused != "" {
+		c.stats.Rejected += int64(mismatched)
+		return http.StatusBadRequest, []byte(refused)
 	}
 	rep := resultReply{Revoked: true}
 	for _, l := range sh.leases {
-		if l.id == post.Lease {
-			// The post renews the lease: a worker mid-shard is alive.
+		if l.id == batch.Lease {
 			l.expires = now.Add(c.cfg.LeaseTTL)
 			rep.Revoked = false
 			break
@@ -562,7 +588,9 @@ func (c *Coordinator) acceptResult(post resultPost) (int, []byte) {
 	// Results are accepted even off an expired lease — execution is
 	// deterministic, so a late result is identical to the one a
 	// replacement worker would produce; first write wins either way.
-	c.ingestLocked(sh, post.I, post.Result)
+	for _, e := range batch.Results {
+		c.ingestLocked(sh, e.I, e.Result)
+	}
 	body, err := json.Marshal(rep)
 	if err != nil {
 		return http.StatusInternalServerError, []byte("encoding reply")

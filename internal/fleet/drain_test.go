@@ -29,8 +29,8 @@ func TestFleetDrainSignalled(t *testing.T) {
 	// latePost makes worker a live, untold worker with a duplicate post.
 	latePost := func(worker string) {
 		t.Helper()
-		post := resultPost{Worker: worker, Lease: rep.Lease, Shard: rep.Shard, I: rep.Jobs[0].I, Result: Result{Job: rep.Jobs[0].Job, Outcome: "injected-ok"}}
-		if status, body := c.acceptResult(post); status != http.StatusOK {
+		post := oneEntry(worker, rep, rep.Jobs[0].I, Result{Job: rep.Jobs[0].Job, Outcome: "injected-ok"})
+		if status, body := c.acceptBatch(post); status != http.StatusOK {
 			t.Fatalf("duplicate post: status %d: %s", status, body)
 		}
 	}

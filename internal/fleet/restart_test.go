@@ -40,12 +40,17 @@ func mustLease(t *testing.T, c *Coordinator) leaseReply {
 	return rep
 }
 
+// oneEntry is a batch holding a single result on rep's lease.
+func oneEntry(worker string, rep leaseReply, i int, res Result) resultBatch {
+	return resultBatch{Worker: worker, Lease: rep.Lease, Shard: rep.Shard, Results: []resultEntry{{I: i, Result: res}}}
+}
+
 func mustPost(t *testing.T, c *Coordinator, rep leaseReply, ij indexedJob, outcome, target string) {
 	t.Helper()
 	res := Result{Job: ij.Job, Outcome: outcome, Target: target, Exceptions: []string{}, Witnesses: []string{}}
-	status, body := c.acceptResult(resultPost{Worker: "t", Lease: rep.Lease, Shard: rep.Shard, I: ij.I, Result: res})
+	status, body := c.acceptBatch(oneEntry("t", rep, ij.I, res))
 	if status != http.StatusOK {
-		t.Fatalf("acceptResult(%s): status %d: %s", ij.Job.Key(), status, body)
+		t.Fatalf("acceptBatch(%s): status %d: %s", ij.Job.Key(), status, body)
 	}
 }
 
@@ -184,11 +189,11 @@ func TestFleetResultJobMismatchRejected(t *testing.T) {
 
 	bad := rep.Jobs[0].Job
 	bad.Point = "sysA.other#9"
-	status, body := c.acceptResult(resultPost{Worker: "t", Lease: rep.Lease, Shard: rep.Shard, I: rep.Jobs[0].I, Result: Result{Job: bad, Outcome: "injected-ok"}})
+	status, body := c.acceptBatch(oneEntry("t", rep, rep.Jobs[0].I, Result{Job: bad, Outcome: "injected-ok"}))
 	if status != http.StatusBadRequest {
 		t.Fatalf("mismatched job: status %d (%s), want 400", status, body)
 	}
-	status, body = c.acceptResult(resultPost{Worker: "t", Lease: rep.Lease, Shard: rep.Shard, I: 99, Result: Result{Job: rep.Jobs[0].Job, Outcome: "injected-ok"}})
+	status, body = c.acceptBatch(oneEntry("t", rep, 99, Result{Job: rep.Jobs[0].Job, Outcome: "injected-ok"}))
 	if status != http.StatusBadRequest {
 		t.Fatalf("job outside shard: status %d (%s), want 400", status, body)
 	}

@@ -18,7 +18,11 @@
 // -new-bug improves.
 package fleet
 
-import "repro/internal/triage"
+import (
+	"time"
+
+	"repro/internal/triage"
+)
 
 // scheduler ranks shards. All methods are called under the
 // coordinator's lock.
@@ -110,14 +114,18 @@ func (s *scheduler) pick(shards []*shard) *shard {
 // steal selects a shard for an idle worker when every shard with work
 // is already leased: the leased shard with the most remaining jobs (at
 // least two — stealing a single job only duplicates it), score-adjusted
-// like pick. The thief co-leases the shard's remainder; whichever
+// like pick, among the overdue ones. A healthy worker renews its lease
+// every renewAfter(ttl), well before it becomes overdue, so an overdue
+// lease marks a straggler, while co-leasing a younger one would only
+// run the shard a second time behind an owner whose progress the thief
+// cannot see. The thief co-leases the shard's remainder; whichever
 // worker posts a job's result first wins, the duplicate is dropped, and
 // because execution is deterministic the duplicates are identical.
-func (s *scheduler) steal(shards []*shard) *shard {
+func (s *scheduler) steal(shards []*shard, now time.Time, ttl time.Duration) *shard {
 	var best *shard
 	bestKey := 0
 	for _, sh := range shards {
-		if len(sh.remaining) < 2 || len(sh.leases) == 0 {
+		if len(sh.remaining) < 2 || !overdue(sh, now, ttl) {
 			continue
 		}
 		key := len(sh.remaining) + 4*s.score(sh)
@@ -126,4 +134,20 @@ func (s *scheduler) steal(shards []*shard) *shard {
 		}
 	}
 	return best
+}
+
+// renewAfter is how long a worker runs a leased shard before posting
+// the results it has so far, which renews the lease: a third of the
+// TTL, so the lease is renewed before it turns overdue at half the TTL.
+func renewAfter(ttl time.Duration) time.Duration { return ttl / 3 }
+
+// overdue reports whether sh is leased and every lease on it has less
+// than half of ttl left.
+func overdue(sh *shard, now time.Time, ttl time.Duration) bool {
+	for _, l := range sh.leases {
+		if l.expires.Sub(now) >= ttl/2 {
+			return false
+		}
+	}
+	return len(sh.leases) > 0
 }

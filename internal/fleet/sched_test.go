@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/triage"
 )
@@ -100,13 +101,13 @@ func TestSchedulerStealNeedsTwoRemaining(t *testing.T) {
 	s := newScheduler(nil, nil)
 	one := mkShard(0, 0, "pA")
 	one.leases = append(one.leases, &lease{id: 1})
-	if got := s.steal([]*shard{one}); got != nil {
+	if got := s.steal([]*shard{one}, time.Now(), time.Minute); got != nil {
 		t.Fatalf("stole a single-job shard %d; stealing it only duplicates work", got.id)
 	}
 	two := mkShard(1, 1, "pB", "pC")
 	two.leases = append(two.leases, &lease{id: 2})
 	unleased := mkShard(2, 3, "pD", "pE")
-	if got := s.steal([]*shard{one, two, unleased}); got != two {
+	if got := s.steal([]*shard{one, two, unleased}, time.Now(), time.Minute); got != two {
 		t.Fatalf("steal chose %v, want the leased two-job shard", got)
 	}
 }
@@ -119,8 +120,28 @@ func TestSchedulerStealPrefersBiggestBacklog(t *testing.T) {
 		sh.leases = append(sh.leases, &lease{id: int64(i + 1)})
 		shards = append(shards, sh)
 	}
-	if got := s.steal(shards); got != shards[2] {
+	if got := s.steal(shards, time.Now(), time.Minute); got != shards[2] {
 		t.Fatalf("steal chose shard %d, want 2 (largest remaining)", got.id)
+	}
+}
+
+// TestSchedulerStealOnlyOverdue pins the overdue rule: a shard is
+// stolen only when every lease on it has less than half the TTL left.
+func TestSchedulerStealOnlyOverdue(t *testing.T) {
+	s := newScheduler(nil, nil)
+	now, ttl := time.Now(), time.Minute
+	sh := mkShard(0, 0, "pA", "pB", "pC")
+	sh.leases = append(sh.leases, &lease{id: 1, expires: now.Add(ttl / 2)})
+	if got := s.steal([]*shard{sh}, now, ttl); got != nil {
+		t.Fatalf("stole shard %d with half its TTL left", got.id)
+	}
+	sh.leases[0].expires = now.Add(ttl/2 - time.Millisecond)
+	if got := s.steal([]*shard{sh}, now, ttl); got != sh {
+		t.Fatalf("steal = %v, want the overdue shard", got)
+	}
+	sh.leases = append(sh.leases, &lease{id: 2, expires: now.Add(ttl)})
+	if got := s.steal([]*shard{sh}, now, ttl); got != nil {
+		t.Fatalf("stole shard %d beside a fresh co-lease", got.id)
 	}
 }
 

@@ -259,3 +259,58 @@ func TestResultReportInvertsResultOf(t *testing.T) {
 		t.Errorf("report round-trip:\n  in:  %+v\n  out: %+v", rep, got)
 	}
 }
+
+// TestResultBatchEnvelope pins the POST /v1/result envelope: each
+// result inside a marshalled batch carries exactly Result's own bytes
+// (FuzzResultJSON's encoding, nil-vs-empty slices included), and the
+// batch round-trips.
+func TestResultBatchEnvelope(t *testing.T) {
+	job := fleet.Job{System: "yarn", Campaign: "recovery", Run: 3, Seed: 11, Scale: 2, Point: "yarn.RM.register#3", Scenario: "pre-read"}
+	results := []fleet.Result{
+		{Job: job, Outcome: "ok", Exceptions: nil, Witnesses: nil},
+		{Job: job, Outcome: "ok", Exceptions: []string{}, Witnesses: []string{}},
+		{
+			Job: job, Outcome: "job-failure", Failing: true, Target: "node1:7001",
+			Fault:      &fleet.Fault{Kind: "crash", Node: "node1:7001", At: 1500},
+			Duration:   9000,
+			Exceptions: []string{"NPE@yarn.RM.register"}, Witnesses: []string{"yarn-1001"},
+			Restarted: []string{"node1:7001"}, Reason: "container lost", Sig: "sig-key",
+			Spans: []fleet.SpanRef{{Phase: "run", Wall: time.Millisecond, Sim: 20}},
+		},
+	}
+	batch := fleet.ResultBatch{Worker: "w0", Lease: 7, Shard: 2}
+	for k, r := range results {
+		batch.Results = append(batch.Results, fleet.ResultEntry{I: 40 + k, Result: r})
+	}
+	b, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var raw struct {
+		Results []struct {
+			R json.RawMessage `json:"r"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(b, &raw); err != nil {
+		t.Fatalf("unmarshal envelope %s: %v", b, err)
+	}
+	if len(raw.Results) != len(results) {
+		t.Fatalf("envelope holds %d results, want %d", len(raw.Results), len(results))
+	}
+	for k, r := range results {
+		want, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("marshal result %d: %v", k, err)
+		}
+		if string(raw.Results[k].R) != string(want) {
+			t.Errorf("results[%d].r = %s, want Result's own bytes %s", k, raw.Results[k].R, want)
+		}
+	}
+	var got fleet.ResultBatch
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatalf("unmarshal %s: %v", b, err)
+	}
+	if !reflect.DeepEqual(got, batch) {
+		t.Fatalf("batch round-trip:\n  in:  %+v\n  json: %s\n  out: %+v", batch, b, got)
+	}
+}

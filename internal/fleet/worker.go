@@ -14,11 +14,13 @@ import (
 
 // Worker is the execution half of the fleet: it leases shards from a
 // coordinator, builds (and caches) the executor for each campaign spec,
-// runs the leased jobs in order, and streams results — with their phase
-// spans — back. A worker holds no campaign state of its own; killing
-// one mid-shard loses nothing, because the coordinator re-queues the
-// lease after its TTL and the replacement re-executes only the jobs
-// that never posted.
+// runs the leased jobs in order, and posts the shard's results — with
+// their phase spans — back in one batch when the shard ends (a shard
+// that outlasts a third of the lease TTL also posts its progress on the
+// way, which renews the lease). A worker holds no campaign state of its
+// own; killing one mid-shard loses at most that shard's unposted
+// results, because the coordinator re-queues the lease after its TTL
+// and the replacement re-executes only the jobs that never posted.
 type Worker struct {
 	// Base is the coordinator's base URL ("http://127.0.0.1:7070").
 	Base string
@@ -58,6 +60,12 @@ func (c *spanCapture) Emit(ev obs.Event) {
 	c.spans = append(c.spans, SpanRef{Phase: ev.Phase, Wall: ev.Wall, Sim: ev.Sim})
 }
 
+// execKey names a cached executor: one per campaign spec and scale.
+type execKey struct {
+	spec  string
+	scale int
+}
+
 // transient transport errors tolerated in a row before the worker gives
 // up on the coordinator.
 const maxTransportErrors = 50
@@ -81,13 +89,15 @@ func (w *Worker) Run() error {
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
 	}
-	type execKey struct {
-		spec  string
-		scale int
-	}
 	execs := map[execKey]Executor{}
 	executed, transportErrs := 0, 0
 	for {
+		if w.MaxJobs > 0 && executed >= w.MaxJobs {
+			// Checked before leasing: a lease the worker cannot run
+			// would strand its shard for a whole TTL.
+			w.logf("%s: job budget spent after %d jobs", name, executed)
+			return nil
+		}
 		rep, status, err := w.lease(client, name)
 		if err != nil {
 			transportErrs++
@@ -106,61 +116,98 @@ func (w *Worker) Run() error {
 			time.Sleep(poll)
 			continue
 		}
-		spec := rep.Spec.Key()
-		w.logf("%s: leased shard %d (%d jobs, %s)", name, rep.Shard, len(rep.Jobs), spec)
-		for _, ij := range rep.Jobs {
-			if w.MaxJobs > 0 && executed >= w.MaxJobs {
-				w.logf("%s: job budget spent, stopping mid-shard", name)
-				return nil
-			}
-			key := execKey{spec, ij.Job.Scale}
-			exec := execs[key]
-			if exec == nil {
-				exec, err = w.Factory(rep.Spec, ij.Job.Scale)
-				if err != nil {
-					return fmt.Errorf("fleet: executor for %s at scale %d: %w", spec, ij.Job.Scale, err)
+		w.logf("%s: leased shard %d (%d jobs, %s)", name, rep.Shard, len(rep.Jobs), rep.Spec.Key())
+		if err := w.runShard(client, name, rep, execs, &executed); err != nil {
+			return err
+		}
+	}
+}
+
+// runShard executes a lease's jobs in order and posts their results in
+// one batch when the shard ends. A shard that runs long posts the
+// results it has so far once renewAfter(TTL) has passed since the
+// lease was granted or last renewed, so a healthy worker keeps its
+// lease however long the shard takes. It stops early, after posting
+// what it ran, when the MaxJobs budget is spent, an executor cannot be
+// built (the error), or a progress post comes back refused or revoked:
+// the shard then belongs to somebody else, and the worker leases
+// afresh.
+func (w *Worker) runShard(client *http.Client, name string, rep leaseReply, execs map[execKey]Executor, executed *int) error {
+	spec := rep.Spec.Key()
+	renewEvery := renewAfter(time.Duration(rep.TTLMilli) * time.Millisecond)
+	renewed := time.Now()
+	batch := make([]resultEntry, 0, len(rep.Jobs))
+	// flush posts the batch and reports whether the lease is still ours.
+	flush := func() (bool, error) {
+		if len(batch) == 0 {
+			return true, nil
+		}
+		revoked, reject, err := w.post(client, name, rep, batch)
+		batch, renewed = batch[:0], time.Now()
+		switch {
+		case err != nil:
+			return false, fmt.Errorf("fleet: posting results: %w", err)
+		case reject != "":
+			// The coordinator refused the batch — the shard is stale
+			// (a restarted coordinator re-planned it) or the plans
+			// disagree (version skew). Either way the shard is not
+			// ours; lease afresh so the coordinator's view wins.
+			w.logf("%s: batch for shard %d on lease %d rejected (%s)", name, rep.Shard, rep.Lease, reject)
+			return false, nil
+		case revoked:
+			// The lease expired and the shard was handed elsewhere;
+			// the batch still counted, first write winning per job.
+			w.logf("%s: lease %d on shard %d was revoked", name, rep.Lease, rep.Shard)
+			return false, nil
+		}
+		return true, nil
+	}
+	for k, ij := range rep.Jobs {
+		if w.MaxJobs > 0 && *executed >= w.MaxJobs {
+			// A budget-stopped worker's prefix is still finished work.
+			_, err := flush()
+			return err
+		}
+		key := execKey{spec, ij.Job.Scale}
+		exec := execs[key]
+		if exec == nil {
+			var err error
+			if exec, err = w.Factory(rep.Spec, ij.Job.Scale); err != nil {
+				err = fmt.Errorf("fleet: executor for %s at scale %d: %w", spec, ij.Job.Scale, err)
+				if _, perr := flush(); perr != nil {
+					err = perr
 				}
-				execs[key] = exec
+				return err
 			}
-			// A fresh capture per job: a stalled run's abandoned goroutine
-			// keeps emitting into the capture it was armed with, so later
-			// jobs must never share it.
-			cap := &spanCapture{}
-			if ss, ok := exec.(interface{ SetSink(obs.Sink) }); ok {
-				ss.SetSink(cap)
-			}
-			res, stalled := w.execute(exec, ij.Job)
-			if stalled {
-				// The abandoned goroutine still owns this executor (and
-				// its capture, so we do not read it): evict the executor
-				// so the next job on this spec builds a fresh one instead
-				// of racing a still-running Execute.
-				delete(execs, key)
-			} else {
-				res.Spans = append([]SpanRef(nil), cap.spans...)
-			}
-			executed++
-			revoked, reject, err := w.post(client, name, rep, ij.I, res)
-			if err != nil {
-				return fmt.Errorf("fleet: posting result: %w", err)
-			}
-			if reject != "" {
-				// The coordinator refused the result — the shard is stale
-				// (a restarted coordinator re-planned it) or the plans
-				// disagree (version skew). Either way the shard is not
-				// ours to finish; abandon it and lease afresh so the
-				// coordinator's view wins.
-				w.logf("%s: result for job %d on shard %d rejected (%s), abandoning lease %d", name, ij.I, rep.Shard, reject, rep.Lease)
-				break
-			}
-			if revoked {
-				// The lease expired and the shard was handed elsewhere;
-				// abandon the remainder and lease afresh.
-				w.logf("%s: lease %d revoked, abandoning shard %d", name, rep.Lease, rep.Shard)
-				break
+			execs[key] = exec
+		}
+		// A fresh capture per job: a stalled run's abandoned goroutine
+		// keeps emitting into the capture it was armed with, so later
+		// jobs must never share it.
+		cap := &spanCapture{}
+		if ss, ok := exec.(interface{ SetSink(obs.Sink) }); ok {
+			ss.SetSink(cap)
+		}
+		res, stalled := w.execute(exec, ij.Job)
+		if stalled {
+			// The abandoned goroutine still owns this executor (and
+			// its capture, so we do not read it): evict the executor
+			// so the next job on this spec builds a fresh one instead
+			// of racing a still-running Execute.
+			delete(execs, key)
+		} else {
+			res.Spans = append([]SpanRef(nil), cap.spans...)
+		}
+		*executed++
+		batch = append(batch, resultEntry{I: ij.I, Result: res})
+		if renewEvery > 0 && k < len(rep.Jobs)-1 && time.Since(renewed) >= renewEvery {
+			if ours, err := flush(); !ours {
+				return err
 			}
 		}
 	}
+	_, err := flush()
+	return err
 }
 
 // execute runs one job, arming the stall watchdog when configured; the
@@ -215,13 +262,13 @@ func (w *Worker) lease(client *http.Client, name string) (leaseReply, int, error
 	}
 }
 
-// post streams one result back; retries transport errors so a briefly
-// restarting coordinator doesn't lose a finished run. A non-empty
-// reject means the coordinator refused the result (4xx) — the caller
+// post sends one lease's batch back; retries transport errors so a
+// briefly restarting coordinator doesn't lose finished runs. A non-empty
+// reject means the coordinator refused the batch (4xx) — the caller
 // abandons the shard rather than treating it as fatal, since the usual
 // cause is a stale lease against a restarted coordinator.
-func (w *Worker) post(client *http.Client, name string, lease leaseReply, i int, res Result) (revoked bool, reject string, err error) {
-	body, _ := json.Marshal(resultPost{Worker: name, Lease: lease.Lease, Shard: lease.Shard, I: i, Result: res})
+func (w *Worker) post(client *http.Client, name string, lease leaseReply, batch []resultEntry) (revoked bool, reject string, err error) {
+	body, _ := json.Marshal(resultBatch{Worker: name, Lease: lease.Lease, Shard: lease.Shard, Results: batch})
 	poll := w.Poll
 	if poll <= 0 {
 		poll = 100 * time.Millisecond

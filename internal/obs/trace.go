@@ -280,7 +280,7 @@ func scanTrace(r io.Reader, fn func(line int, s Span, decodeErr error) error) (i
 			continue
 		}
 		var ln Span
-		err := json.Unmarshal(sc.Bytes(), &ln)
+		err := decodeSpan(sc.Bytes(), &ln)
 		if err := fn(lineNo, ln, err); err != nil {
 			return lineNo, err
 		}

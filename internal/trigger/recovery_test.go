@@ -240,3 +240,26 @@ func TestInterruptedCampaignResumesByteIdentical(t *testing.T) {
 		t.Errorf("resumed campaign differs from uninterrupted run:\n%s\nvs\n%s", uninterrupted, resumed)
 	}
 }
+
+// TestParseSecondFaultKind pins the -second-fault vocabulary: the two
+// kinds RecoveryOptions.SecondFaultKind accepts, and nothing else.
+func TestParseSecondFaultKind(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want sim.FaultKind
+		ok   bool
+	}{
+		{"crash", sim.FaultCrash, true},
+		{"shutdown", sim.FaultShutdown, true},
+		{"restart", sim.FaultCrash, false},
+		{"partition", sim.FaultCrash, false},
+		{"heal", sim.FaultCrash, false},
+		{"", sim.FaultCrash, false},
+		{"bogus", sim.FaultCrash, false},
+	} {
+		got, ok := trigger.ParseSecondFaultKind(tc.in)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("ParseSecondFaultKind(%q) = %v, %v; want %v, %v", tc.in, got, ok, tc.want, tc.ok)
+		}
+	}
+}

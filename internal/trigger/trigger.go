@@ -156,6 +156,16 @@ type RecoveryOptions struct {
 	SecondFaultKind sim.FaultKind
 }
 
+// ParseSecondFaultKind parses a second-fault name for CLI flags: "crash"
+// or "shutdown", the two kinds SecondFaultKind accepts.
+func ParseSecondFaultKind(s string) (sim.FaultKind, bool) {
+	k, ok := sim.ParseFaultKind(s)
+	if !ok || (k != sim.FaultCrash && k != sim.FaultShutdown) {
+		return sim.FaultCrash, false
+	}
+	return k, true
+}
+
 func (rc *RecoveryOptions) restartDelay() sim.Time {
 	if rc.RestartDelay > 0 {
 		return rc.RestartDelay
