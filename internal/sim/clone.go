@@ -89,9 +89,10 @@ func (e *Engine) Clone() (*Engine, *TimerRemap, error) {
 	if len(e.faults) > 0 {
 		e2.faults = append([]FaultRecord(nil), e.faults...)
 	}
-	if len(e.exceptions) > 0 {
-		e2.exceptions = append([]Exception(nil), e.exceptions...)
-	}
+	// Exceptions: the clone shares the source's list, capped at its
+	// length, so its first new pair copies the list, and the source's
+	// appends land past the clone's view.
+	e2.exceptions = e.Exceptions()
 	// Nodes: identity, liveness and incarnations; registrations stay empty
 	// for the system's CloneRun to re-wire.
 	if len(e.nodes) > 0 {

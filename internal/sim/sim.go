@@ -369,6 +369,11 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's seeded RNG.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
+// Draws returns how many values the engine's random stream has handed
+// out: zero means no model or engine code drew from Rand, so a run on
+// any other seed would replay this one exactly.
+func (e *Engine) Draws() int { return e.src.pos }
+
 // SetStream makes s the engine's RNG: the engine's next draw is s's next
 // draw. The caller must not draw from s afterwards.
 func (e *Engine) SetStream(s Stream) { e.rng, e.src = s.Rand, s.src }
@@ -552,13 +557,22 @@ func (e *Engine) AfterOn(id NodeID, d Time, fn func()) *Timer {
 // event holds no closure, so Engine.Clone can carry it into a forked
 // engine. arg must be treated as immutable once scheduled — a clone
 // shares it with the source.
+//
+// AfterKeyed must stay inlinable, so that a caller that drops the Timer
+// keeps it on the stack instead of paying a heap allocation per timer.
 func (e *Engine) AfterKeyed(id NodeID, d Time, key string, arg any) *Timer {
+	ev := e.afterKeyed(id, d, key, arg)
+	return &Timer{ev: ev, gen: ev.gen}
+}
+
+// afterKeyed is AfterKeyed's body, split out like everyEvent.
+func (e *Engine) afterKeyed(id NodeID, d Time, key string, arg any) *event {
 	if key == "" {
 		panic("sim: AfterKeyed requires a non-empty key")
 	}
 	ev := e.schedule(e.now+d, 0, id, nil)
 	ev.key, ev.arg = key, arg
-	return &Timer{ev: ev, gen: ev.gen}
+	return ev
 }
 
 // EveryKeyed schedules a periodic data-driven timer: every period, the

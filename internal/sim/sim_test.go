@@ -292,12 +292,16 @@ func TestThrowAndAbort(t *testing.T) {
 	n := e.AddNode("n", 1)
 	e.Throw(n.ID, "IOException@read", "disk error", true)
 	e.Abort(n.ID, "NullPointerException@sched", "nil node")
+	e.Throw(n.ID, "IOException@read", "disk error again", true) // repeat
 	exs := e.Exceptions()
 	if len(exs) != 2 {
 		t.Fatalf("exceptions = %d, want 2", len(exs))
 	}
 	if !exs[0].Handled || exs[1].Handled {
 		t.Error("handled flags wrong")
+	}
+	if exs[0].Message != "disk error" {
+		t.Errorf("kept message %q, want the first occurrence's", exs[0].Message)
 	}
 	if n.Alive() {
 		t.Error("node alive after abort")
@@ -373,4 +377,21 @@ func TestDuplicateNodePanics(t *testing.T) {
 	e := NewEngine(1)
 	e.AddNode("x", 1)
 	e.AddNode("x", 1)
+}
+
+// TestDroppedKeyedTimerAllocatesNothing: AfterKeyed is an inlinable
+// wrapper, so a caller that drops the Timer keeps it on the stack. With
+// the freelist and the delay lane warm, scheduling costs no allocation.
+func TestDroppedKeyedTimerAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	n := e.AddNode("n", 1)
+	n.Handle("k", func(*Engine, NodeID, any) {})
+	for i := 0; i < 4*eventBlock; i++ {
+		e.AfterKeyed(n.ID, Millisecond, "k", nil)
+	}
+	e.Run(Second)
+	e.AfterKeyed(n.ID, Millisecond, "k", nil) // opens the lane
+	if allocs := testing.AllocsPerRun(100, func() { e.AfterKeyed(n.ID, Millisecond, "k", nil) }); allocs != 0 {
+		t.Errorf("a dropped AfterKeyed handle costs %v allocations, want 0", allocs)
+	}
 }

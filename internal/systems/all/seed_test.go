@@ -43,8 +43,10 @@ func runFaultFree(r cluster.Runner, seed int64, scale int) faultFreeRun {
 // TestFaultFreeRunsSeedInvariant: no model and no engine code draws from
 // Engine.Rand, so the seed reaches only the injector, and a fault-free
 // run is one execution whatever its seed. The baseline census runs it
-// once, and triage confirmation replays a record once, on this premise.
-// A draw is an error even when it changes nothing observable yet.
+// once, and triage confirmation replays a record once, on this premise;
+// asked for several runs, trigger.MeasureBaseline stops after the first
+// one whose engine drew nothing (Engine.Draws). A draw is an error even
+// when it changes nothing observable yet.
 func TestFaultFreeRunsSeedInvariant(t *testing.T) {
 	seeds := []int64{11, 1009, 7, 123456789}
 	for _, r := range systems {

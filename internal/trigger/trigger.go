@@ -277,9 +277,13 @@ func (t *Tester) scope() obs.Scope {
 	return sc
 }
 
-// MeasureBaseline performs fault-free runs and unions their exception
-// signatures; the longest duration becomes the reference. The oracle
-// reads no log record, so the runs log to a discarding root.
+// MeasureBaseline performs fault-free runs on seeds seed, seed+1, …,
+// seed+runs-1 and unions their exception signatures; the longest
+// duration becomes the reference. The seed reaches a fault-free run only
+// through the engine's random stream, so once a run has drawn nothing
+// from it (Engine.Draws), every later seed would replay that run
+// exactly, and the census stops there. Runs still reports runs. The
+// oracle reads no log record, so the runs log to a discarding root.
 func MeasureBaseline(r cluster.Runner, seed int64, scale, runs int, deadline sim.Time) Baseline {
 	if runs < 1 {
 		runs = 1
@@ -292,6 +296,9 @@ func MeasureBaseline(r cluster.Runner, seed int64, scale, runs int, deadline sim
 		run := r.NewRun(cluster.Config{Seed: seed + int64(i), Scale: scale, Probe: probe.New(), Logs: dslog.Discard()})
 		res := cluster.Drive(run, deadline)
 		b.add(res.End, run.Status(), run.Engine().Exceptions())
+		if run.Engine().Draws() == 0 {
+			break
+		}
 	}
 	return b
 }
